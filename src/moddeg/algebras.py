@@ -13,12 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
-                     NotSubmodule, Undecided)
-from .linalg import (Matrix, Subspace, block_diag, hstack, image, kernel,
-                     solve_right, vstack)
+                     InternalInvariantViolation, NotSubmodule, Undecided)
+from .linalg import (Matrix, Subspace, block_diag, combination, hstack, image,
+                     inverse, kernel, solve_right, vstack)
 
 # A relation is a sum of terms; each term is (integer coefficient, word),
 # a word being a nonempty tuple of generator indices.  Integer coefficients
@@ -275,53 +276,85 @@ def direct_sum(a: Representation, b: Representation):
             ModuleMap(rep, a, pa), ModuleMap(rep, b, pb))
 
 
-def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
-    """A canonical basis of the intertwiner space Hom(m, n).
+def intertwiner_system(m: Representation, n: Representation,
+                       support: Optional[Sequence[int]] = None) -> Matrix:
+    """The linear system of ``H . m_g = n_g . H`` for an n.dim x m.dim
+    matrix H, as rows ``(n_g . H - H . m_g)[i][j] = 0``, one per generator
+    g and entry (i, j).
 
-    Solves the linear system ``H . m_g = n_g . H`` over all generators g;
-    the basis comes from the canonical kernel echelon form, so the output
-    is deterministic.
+    The unknowns are the entries H[r][c] at the row-major indices
+    ``r * m.dim + c`` listed in ``support`` (default: all of them), in that
+    order; every other entry of H is held at zero.
     """
     _check_compatible(m, n)
     fld = m.field
     dm, dn = m.dim, n.dim
-    if dn * dm == 0:
-        return []
-    # equation (g, i, j): sum_r b[i][r] h[r][j] - sum_c h[i][c] a[c][j] = 0
-    ker = kernel(_hom_system(m, n))
-    out = []
-    for j in range(ker.dim):
-        flat = ker.basis.column(j)
-        mat = Matrix(fld, dn, dm, [flat[i * dm:(i + 1) * dm] for i in range(dn)])
-        out.append(ModuleMap(m, n, mat))
-    return out
-
-
-def _hom_system(m: Representation, n: Representation) -> Matrix:
-    fld = m.field
-    dm, dn = m.dim, n.dim
-    nvars = dn * dm
+    if support is None:
+        support = range(dn * dm)
+    nvars = len(support)
+    column = [None] * (dn * dm)
+    for k, flat in enumerate(support):
+        column[flat] = k
     rows = []
     for a, b in zip(m.mats, n.mats):
         for i in range(dn):
             for j in range(dm):
                 row = [fld.zero] * nvars
                 for r in range(dn):
-                    row[r * dm + j] = fld.add(row[r * dm + j], b.data[i][r])
+                    k = column[r * dm + j]
+                    if k is not None:
+                        row[k] = fld.add(row[k], b.data[i][r])
                 for c in range(dm):
-                    row[i * dm + c] = fld.sub(row[i * dm + c], a.data[c][j])
+                    k = column[i * dm + c]
+                    if k is not None:
+                        row[k] = fld.sub(row[k], a.data[c][j])
                 rows.append(row)
     return Matrix(fld, len(rows), nvars, rows)
+
+
+def unflatten(fld, rows: int, cols: int, values: Sequence,
+              support: Optional[Sequence[int]] = None) -> Matrix:
+    """The rows x cols matrix holding ``values[k]`` at row-major index
+    ``support[k]`` (default: every index in order) and zero elsewhere."""
+    if support is None:
+        support = range(rows * cols)
+    flat = [fld.zero] * (rows * cols)
+    for k, v in zip(support, values):
+        flat[k] = v
+    return Matrix(fld, rows, cols,
+                  [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
+def intertwiner_basis(m: Representation, n: Representation,
+                      support: Optional[Sequence[int]] = None) -> list[Matrix]:
+    """Canonical basis of the intertwiners m -> n supported on ``support``
+    (see ``intertwiner_system``), read off the kernel echelon form."""
+    ker = kernel(intertwiner_system(m, n, support))
+    return [unflatten(m.field, n.dim, m.dim, ker.basis.column(j), support)
+            for j in range(ker.dim)]
+
+
+def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
+    """A canonical basis of the intertwiner space Hom(m, n); the basis
+    comes from the canonical kernel echelon form, so the output is
+    deterministic."""
+    return [ModuleMap(m, n, h) for h in intertwiner_basis(m, n)]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom(m, n), via the rank of the intertwiner system (cheaper
     than materializing the basis)."""
-    _check_compatible(m, n)
-    nvars = n.dim * m.dim
-    if nvars == 0:
-        return 0
-    return nvars - _hom_system(m, n).rank()
+    return n.dim * m.dim - intertwiner_system(m, n).rank()
+
+
+def conjugate(rep: Representation, basis: Matrix) -> Representation:
+    """``rep`` rewritten in the columns of an invertible ``basis``: every
+    generator matrix g becomes basis^-1 . g . basis."""
+    inv = inverse(basis)
+    if inv is None:
+        raise InternalInvariantViolation("adapted basis is singular")
+    mats = tuple(inv @ (g @ basis) for g in rep.mats)
+    return Representation(rep.algebra, rep.field, rep.dim, mats)
 
 
 def sub_representation(rep: Representation, space: Subspace):
@@ -348,7 +381,7 @@ def quotient_by_subspace(rep: Representation, space: Subspace):
     """
     comp = space.complement_basis()
     full = hstack(space.basis, comp)
-    inv = solve_right(full, Matrix.identity(rep.field, rep.dim))
+    inv = inverse(full)
     if inv is None:
         raise DimensionMismatch("complement basis failed to complete")
     qdim = comp.cols
@@ -430,19 +463,11 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
     for h in basis:
         if _invertible(h.mat):
             return h
-
-    def combine(coeffs):
-        acc = Matrix.zeros(m.field, n.dim, m.dim)
-        for c, h in zip(coeffs, basis):
-            if not m.field.is_zero(c):
-                acc = acc + h.mat.scale(c)
-        return acc
-
+    mats = [h.mat for h in basis]
     fld = m.field
     if fld.finite and k <= 8 and fld.p ** k <= 1 << 16:
-        from itertools import product
         for coeffs in product(fld.elements(), repeat=k):
-            mat = combine(coeffs)
+            mat = combination(coeffs, mats)
             if _invertible(mat):
                 return ModuleMap(m, n, mat)
         return None
@@ -450,7 +475,7 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
     for trial in range(max_trials):
         bound = 1 + trial // 8
         coeffs = [fld.sample(rng, bound) for _ in range(k)]
-        mat = combine(coeffs)
+        mat = combination(coeffs, mats)
         if _invertible(mat):
             return ModuleMap(m, n, mat)
     raise Undecided(

@@ -14,11 +14,12 @@ import json
 import sys
 
 from .errors import FieldMismatch, ModdegError, ParseError
-from .algebras import validate
+from .algebras import hom_dim, validate
 from .degeneration import (codim, compose_certificates, hom_defect,
                            orbit_dim_gl, push_submodule, split_submodule,
                            verify_certificate, virtual_chain)
-from .io_json import Document, document_for, format_document, parse_document
+from .io_json import (CompositionVectorDoc, Document, document_for,
+                      format_document, parse_document)
 from .ladders import (build_family, evaluate_family, make_monic,
                       orbit_dim_ud, psi_embed, verify_ladder)
 from .oracles import (enum_submodules, nilpotent_degenerates,
@@ -26,7 +27,6 @@ from .oracles import (enum_submodules, nilpotent_degenerates,
 from .series import (TriangularRep, chain_to_triangular, composition_series,
                      composition_vector, series_isomorphic,
                      series_to_triangular, simultaneous_triangularize)
-from .io_json import CompositionVectorDoc
 
 
 class _DocSource:
@@ -135,7 +135,6 @@ def _run(args, src: _DocSource) -> int:
     if command == "hom":
         md, nd = src.expect(args.m, "representation"), src.expect(args.n, "representation")
         _check_same_field(md, nd)
-        from .algebras import hom_dim
         sys.stdout.write(f"{hom_dim(md.value, nd.value)}\n")
         return 0
 
@@ -263,10 +262,12 @@ def _run(args, src: _DocSource) -> int:
             _check_same_field(ld, cd)
             constraint = cd.value.entries
         family = build_family(make_monic(ld.value), constraint)
-        fld = ld.field
-        for text in args.t.split(","):
-            member = evaluate_family(family, fld.parse(text.strip()))
-            _emit(member.rep)
+        try:
+            ts = [ld.field.parse(text.strip()) for text in args.t.split(",")]
+        except ValueError as err:
+            raise ParseError(str(err), path="--t") from None
+        for t in ts:
+            _emit(evaluate_family(family, t).rep)
         return 0
 
     if command == "psi":

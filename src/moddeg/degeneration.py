@@ -18,8 +18,8 @@ from .errors import (AlgebraMismatch, DimensionMismatch,
                      InternalInvariantViolation, NoLift, NotSubmodule,
                      VerificationFailed)
 from .algebras import (CheckItem, ModuleMap, Report, Representation,
-                       Submodule, direct_sum, hom_dim,
-                       sub_representation, zero_representation)
+                       Submodule, direct_sum, hom_dim, intertwiner_system,
+                       sub_representation, unflatten, zero_representation)
 from .linalg import (Matrix, Subspace, block_diag, hstack, image, kernel,
                      preimage, solve_right, vstack)
 
@@ -144,7 +144,6 @@ def push_submodule(cert: RiedtmannCertificate, mprime: Submodule) -> PushResult:
     if mprime.ambient != cert.m:
         raise NotSubmodule("submodule does not live in the certificate's M")
     mprime.require_invariant()
-    fld = cert.m.field
     space = preimage(cert.g.mat, mprime.space)
     for _ in range(cert.x.dim + 1):
         refined = space.intersect(preimage(cert.f.mat, space))
@@ -256,34 +255,22 @@ def compose_certificates(c1: RiedtmannCertificate,
     fld = c1.m.field
     w, xm = c2.x, c1.middle
     dw, dxm = w.dim, xm.dim
-    nvars = dxm * dw
-    rows, rhs = [], []
-    for a, b in zip(w.mats, xm.mats):
-        for i in range(dxm):
-            for j in range(dw):
-                row = [fld.zero] * nvars
-                for r in range(dxm):
-                    row[r * dw + j] = fld.add(row[r * dw + j], b.data[i][r])
-                for c in range(dw):
-                    row[i * dw + c] = fld.sub(row[i * dw + c], a.data[c][j])
-                rows.append(row)
-                rhs.append([fld.zero])
-    qm = c1.q.mat
-    g2 = c2.g.mat
-    for i in range(c1.n.dim):
+    # Below the intertwiner rows, one row per entry (i, j) of q1 o lift = g2.
+    q_rows = []
+    for q_row in c1.q.mat.data:
         for j in range(dw):
-            row = [fld.zero] * nvars
-            for r in range(dxm):
-                row[r * dw + j] = qm.data[i][r]
-            rows.append(row)
-            rhs.append([g2.data[i][j]])
-    sol = solve_right(Matrix(fld, len(rows), nvars, rows),
-                      Matrix(fld, len(rhs), 1, rhs)) if nvars else Matrix.zeros(fld, 0, 1)
+            row = [fld.zero] * (dxm * dw)
+            row[j::dw] = q_row
+            q_rows.append(row)
+    system = vstack(intertwiner_system(w, xm),
+                    Matrix(fld, len(q_rows), dxm * dw, q_rows))
+    g2 = [v for row in c2.g.mat.data for v in row]
+    rhs = Matrix.column_vector(fld, [fld.zero] * (system.rows - len(g2)) + g2)
+    sol = solve_right(system, rhs)
     if sol is None:
         raise NoLift("no module map (s; t) with q1 o (s; t) = g2 exists; "
                      "composition by this construction is unavailable")
-    flat = sol.column(0) if nvars else ()
-    lift = Matrix(fld, dxm, dw, [flat[i * dw:(i + 1) * dw] for i in range(dxm)])
+    lift = unflatten(fld, dxm, dw, sol.column(0))
     dx, da = c1.x.dim, c1.m.dim
     sigma = lift.submatrix(range(dx), range(dw))
     tau = lift.submatrix(range(dx, dxm), range(dw))

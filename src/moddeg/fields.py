@@ -76,8 +76,10 @@ class Rationals:
     def parse(self, text: str) -> Fraction:
         if not _FRAC_RE.match(text):
             raise ValueError(f"not an exact rational: {text!r}")
-        value = Fraction(text)
-        return value
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {text!r}") from None
 
     def fmt(self, a) -> str:
         return str(a)

@@ -17,7 +17,8 @@ from .degeneration import RiedtmannCertificate
 from .io_json import CompositionVectorDoc, Document, document_for, format_document
 from .ladders import LadderCertificate, ladder_from_columns
 from .linalg import Matrix, Subspace
-from .series import ModuleChain, TriangularRep, composition_series
+from .series import (ModuleChain, TriangularRep, composition_series,
+                     triangular_to_series)
 
 
 # -- algebras ----------------------------------------------------------
@@ -430,7 +431,6 @@ def fixture_documents() -> dict[str, Document]:
     s3 = direct_sum(direct_sum(s, s)[0], s)[0]
     lam_s = direct_sum(lam, s)[0]
     t3, t21, t111 = nilp3_type_modules(QQ)
-    from .series import triangular_to_series
     docs = {
         "rep_dual_lambda2.json": document_for(lam2),
         "rep_dual_lambda_s2.json": document_for(lam_s2),

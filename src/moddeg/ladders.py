@@ -27,8 +27,8 @@ from .algebras import (AlgebraPresentation, CheckItem, ModuleMap, Report,
                        Representation, direct_sum, sub_representation,
                        validate)
 from .degeneration import RiedtmannCertificate, verify_certificate
-from .linalg import (Matrix, block_diag, hstack, image, inverse,
-                     kernel, solve_right, vstack)
+from .linalg import (EchelonTracker, Matrix, block_diag, hstack, image,
+                     inverse, kernel, solve_right, vstack)
 from .series import (ModuleChain, TriangularRep,
                      upper_triangular_hom_basis)
 
@@ -226,7 +226,6 @@ def build_family(lc: LadderCertificate,
         raise DimensionMismatch("constraint length differs from ladder length")
     embs = _column_embeddings(lc)
     w = image(vstack(lc.f[d - 1].mat, lc.g[d - 1].mat))
-    from .linalg import EchelonTracker
     tracker = EchelonTracker(fld, ambient.dim)
     for j in range(w.dim):
         tracker.add(w.basis.column(j))

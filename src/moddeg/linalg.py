@@ -253,10 +253,18 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
 def inverse(a: Matrix) -> Optional[Matrix]:
     if a.rows != a.cols:
         raise DimensionMismatch("only square matrices have inverses")
-    x = solve_right(a, Matrix.identity(a.field, a.rows))
-    if x is None:
-        return None
-    return x
+    return solve_right(a, Matrix.identity(a.field, a.rows))
+
+
+def combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
+    """The linear combination sum_k coeffs[k] . mats[k] of one or more
+    equally shaped matrices; zero coefficients are skipped."""
+    first = mats[0]
+    acc = Matrix.zeros(first.field, first.rows, first.cols)
+    for c, mat in zip(coeffs, mats):
+        if not first.field.is_zero(c):
+            acc = acc + mat.scale(c)
+    return acc
 
 
 class EchelonTracker:

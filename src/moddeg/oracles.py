@@ -3,7 +3,7 @@ fields, and the rank-profile test for nilpotent one-generator algebras."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .errors import TooLarge
 from .algebras import Representation, Submodule
@@ -27,8 +27,6 @@ def enum_submodules(rep: Representation, guard: int = ENUM_GUARD) -> list[Submod
     if fld.p ** d > guard:
         raise TooLarge(f"{fld.p}^{d} exceeds the enumeration guard {guard}")
 
-    anns = {}
-
     def invariant(space: Subspace) -> bool:
         if space.dim in (0, d):
             return True
@@ -37,7 +35,7 @@ def enum_submodules(rep: Representation, guard: int = ENUM_GUARD) -> list[Submod
 
     out = [Submodule(rep, Subspace.zero(fld, d))]
     for k in range(1, d + 1):
-        for pivots in _combinations(d, k):
+        for pivots in combinations(range(d), k):
             pivot_set = set(pivots)
             free_slots = [(i, j) for i in range(k)
                           for j in range(pivots[i] + 1, d) if j not in pivot_set]
@@ -52,11 +50,6 @@ def enum_submodules(rep: Representation, guard: int = ENUM_GUARD) -> list[Submod
                 if invariant(space):
                     out.append(Submodule(rep, space))
     return out
-
-
-def _combinations(n: int, k: int):
-    from itertools import combinations
-    return combinations(range(n), k)
 
 
 def nilpotent_rank_profile(rep: Representation) -> tuple[int, ...]:

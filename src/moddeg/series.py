@@ -11,15 +11,17 @@ derived basis is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .errors import (DimensionMismatch, FieldTooSmall,
                      InternalInvariantViolation,
                      SimpleNotOneDimensional, TriangularityViolated,
                      VectorMismatch, VerificationFailed)
-from .algebras import (ModuleMap, Representation, Submodule,
-                       quotient_by_subspace, sub_representation)
-from .linalg import (Matrix, Subspace, image, kernel,
+from .algebras import (ModuleMap, Representation, Submodule, conjugate,
+                       intertwiner_basis, quotient_by_subspace,
+                       sub_representation)
+from .linalg import (Matrix, Subspace, combination, image, kernel,
                      solve_right, vstack)
 
 
@@ -205,12 +207,7 @@ def triangularize_flags(rep: Representation,
         cols.extend(ext.columns())
         prev = flag
     basis = Matrix.from_columns(fld, cols, rows=rep.dim)
-    inv = solve_right(basis, Matrix.identity(fld, rep.dim))
-    if inv is None:
-        raise InternalInvariantViolation("adapted basis is singular")
-    mats = tuple(inv @ (m @ basis) for m in rep.mats)
-    out = Representation(rep.algebra, fld, rep.dim, mats)
-    return TriangularRep(out), basis
+    return TriangularRep(conjugate(rep, basis)), basis
 
 
 def series_to_triangular(series: CompositionSeries) -> TriangularRep:
@@ -311,15 +308,8 @@ def simultaneous_triangularize(m: Representation, n: Representation,
                     "idempotent image fell into the previous flag")
         return Matrix.from_columns(fld, cols, rows=rep.dim)
 
-    def conjugate(rep: Representation, basis: Matrix) -> TriangularRep:
-        inv = solve_right(basis, Matrix.identity(rep.field, rep.dim))
-        if inv is None:
-            raise InternalInvariantViolation("adapted basis is singular")
-        mats = tuple(inv @ (g @ basis) for g in rep.mats)
-        return TriangularRep(Representation(rep.algebra, rep.field, rep.dim, mats))
-
-    tm = conjugate(m, adapted(m, sm))
-    tn = conjugate(n, adapted(n, sn))
+    tm = TriangularRep(conjugate(m, adapted(m, sm)))
+    tn = TriangularRep(conjugate(n, adapted(n, sn)))
     for idx in m.algebra.idempotent_indices:
         if tm.rep.mats[idx] != tn.rep.mats[idx]:
             raise VerificationFailed(
@@ -329,36 +319,11 @@ def simultaneous_triangularize(m: Representation, n: Representation,
 
 def upper_triangular_hom_basis(a: TriangularRep, b: TriangularRep) -> list[Matrix]:
     """Canonical basis of the space of upper-triangular intertwiners."""
-    ra, rb = a.rep, b.rep
-    if ra.dim != rb.dim:
+    d = a.dim
+    if b.dim != d:
         raise DimensionMismatch("triangular intertwiners need equal dimension")
-    fld = ra.field
-    d = ra.dim
-    positions = [(r, c) for r in range(d) for c in range(r, d)]
-    index = {p: i for i, p in enumerate(positions)}
-    nvars = len(positions)
-    rows = []
-    for am, bm in zip(ra.mats, rb.mats):
-        # (H . am - bm . H)[i][j] = 0 with H supported on r <= c
-        for i in range(d):
-            for j in range(d):
-                row = [fld.zero] * nvars
-                for c in range(d):
-                    if (i, c) in index:
-                        row[index[(i, c)]] = fld.add(row[index[(i, c)]], am.data[c][j])
-                for r in range(d):
-                    if (r, j) in index:
-                        row[index[(r, j)]] = fld.sub(row[index[(r, j)]], bm.data[i][r])
-                rows.append(row)
-    ker = kernel(Matrix(fld, len(rows), nvars, rows))
-    out = []
-    for k in range(ker.dim):
-        flat = ker.basis.column(k)
-        mat = [[fld.zero] * d for _ in range(d)]
-        for (r, c), i in index.items():
-            mat[r][c] = flat[i]
-        out.append(Matrix(fld, d, d, mat))
-    return out
+    support = [r * d + c for r in range(d) for c in range(r, d)]
+    return intertwiner_basis(a.rep, b.rep, support)
 
 
 def series_isomorphic(a: TriangularRep, b: TriangularRep,
@@ -387,10 +352,7 @@ def series_isomorphic(a: TriangularRep, b: TriangularRep,
         return None
 
     def witness_from(coeffs) -> Optional[ModuleMap]:
-        acc = Matrix.zeros(fld, d, d)
-        for c, h in zip(coeffs, basis):
-            if not fld.is_zero(c):
-                acc = acc + h.scale(c)
+        acc = combination(coeffs, basis)
         if any(fld.is_zero(acc.entry(j, j)) for j in range(d)):
             return None
         out = ModuleMap(a.rep, b.rep, acc)
@@ -415,7 +377,6 @@ def series_isomorphic(a: TriangularRep, b: TriangularRep,
                 return w
         raise InternalInvariantViolation("Vandermonde scan failed unexpectedly")
     if fld.p ** k <= exhaustive_limit:
-        from itertools import product
         for coeffs in product(fld.elements(), repeat=k):
             w = witness_from(coeffs)
             if w is not None:

@@ -21,6 +21,8 @@ def test_rational_parse_and_format():
         QQ.parse("1.5")
     with pytest.raises(ValueError):
         QQ.parse("x")
+    with pytest.raises(ValueError, match="zero denominator"):
+        QQ.parse("1/0")
 
 
 def test_rational_canonical_form():

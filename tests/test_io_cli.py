@@ -210,3 +210,32 @@ def test_cli_field_mismatch_between_documents():
     code, _, err = run_cli(["hom", data_path("rep_dual_lambda2.json"), str(path)])
     assert code == 2
     assert json.loads(err)["error"] == "FieldMismatch"
+
+
+def test_cli_series_iso_refuses_different_algebras():
+    code, out, err = run_cli(["series-iso", data_path("rep_dual_s3.json"),
+                              data_path("rep_nilp3_type111.json")])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "AlgebraMismatch"
+
+
+def test_cli_zero_denominator_is_parse_error(tmp_path):
+    payload = json.loads(format_document(document_for(simple_module(QQ))))
+    payload["mats"][1] = [["1/0"]]
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert "zero denominator" in error["message"]
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "0,abc"])
+def test_cli_deform_bad_parameter_is_parse_error(value):
+    code, out, err = run_cli(["deform", data_path("ladder_nilp3_corner.json"),
+                              "--t", value])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].endswith("at --t")
