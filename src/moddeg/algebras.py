@@ -280,7 +280,10 @@ def intertwiner_system(m: Representation, n: Representation,
                        support: Optional[Sequence[int]] = None) -> Matrix:
     """The linear system of ``H . m_g = n_g . H`` for an n.dim x m.dim
     matrix H, as rows ``(n_g . H - H . m_g)[i][j] = 0``, one per generator
-    g and entry (i, j).
+    g and entry (i, j) in that order, except that rows which come out
+    identically zero are left out (a generator acting as the identity on
+    both sides gives only such rows).  Only nonzero entries of n_g and m_g
+    are added in.
 
     The unknowns are the entries H[r][c] at the row-major indices
     ``r * m.dim + c`` listed in ``support`` (default: all of them), in that
@@ -295,20 +298,29 @@ def intertwiner_system(m: Representation, n: Representation,
     column = [None] * (dn * dm)
     for k, flat in enumerate(support):
         column[flat] = k
+    add, sub, is_zero = fld.add, fld.sub, fld.is_zero
     rows = []
     for a, b in zip(m.mats, n.mats):
-        for i in range(dn):
-            for j in range(dm):
+        b_rows = [[(r, v) for r, v in enumerate(row) if not is_zero(v)]
+                  for row in b.data]
+        a_cols = [[(c, v) for c, v in enumerate(col) if not is_zero(v)]
+                  for col in zip(*a.data)]
+        for i, b_row in enumerate(b_rows):
+            for j, a_col in enumerate(a_cols):
                 row = [fld.zero] * nvars
-                for r in range(dn):
+                written = []
+                for r, v in b_row:
                     k = column[r * dm + j]
                     if k is not None:
-                        row[k] = fld.add(row[k], b.data[i][r])
-                for c in range(dm):
+                        row[k] = add(row[k], v)
+                        written.append(k)
+                for c, v in a_col:
                     k = column[i * dm + c]
                     if k is not None:
-                        row[k] = fld.sub(row[k], a.data[c][j])
-                rows.append(row)
+                        row[k] = sub(row[k], v)
+                        written.append(k)
+                if any(not is_zero(row[k]) for k in written):
+                    rows.append(row)
     return Matrix(fld, len(rows), nvars, rows)
 
 

@@ -109,15 +109,20 @@ def _matrix_payload(m: Matrix) -> list:
 def _parse_algebra(obj, path: str) -> AlgebraPresentation:
     _expect_keys(obj, ("name", "generators", "idempotents", "radical",
                        "relations", "unit"), path)
+    if not isinstance(obj["name"], str):
+        _fail("name must be a string", path + ".name")
     gens = obj["generators"]
     if (not isinstance(gens, list) or not gens
             or any(not isinstance(g, str) for g in gens)):
         _fail("generators must be a nonempty list of names", path + ".generators")
     index = {g: i for i, g in enumerate(gens)}
 
+    def is_name(n) -> bool:
+        return isinstance(n, str) and n in index
+
     def names(key):
         lst = obj[key]
-        if not isinstance(lst, list) or any(n not in index for n in lst):
+        if not isinstance(lst, list) or not all(map(is_name, lst)):
             _fail(f"{key} must list generator names", f"{path}.{key}")
         return lst
 
@@ -138,13 +143,13 @@ def _parse_algebra(obj, path: str) -> AlgebraPresentation:
                 _fail(f"integer coefficient expected, got {term[0]!r}", f"{rpath}[{j}]")
             word = []
             for g in term[1]:
-                if g not in index:
+                if not is_name(g):
                     _fail(f"unknown generator {g!r} in relation", f"{rpath}[{j}]")
                 word.append(index[g])
             terms.append((int(term[0]), tuple(word)))
         relations.append(tuple(terms))
     unit = obj["unit"]
-    if unit is not None and unit not in index:
+    if unit is not None and not is_name(unit):
         _fail("unit must be null or a generator name", path + ".unit")
     try:
         return AlgebraPresentation(

@@ -1,4 +1,9 @@
-"""Dense exact matrices and canonical subspaces.
+"""Exact matrices and canonical subspaces.
+
+Matrices are stored densely, as tuples of rows, but the kernels skip
+zeros: products run over the nonzero entries of both factors, and
+elimination updates rows only where the pivot row is nonzero.  Scalar
+arithmetic always goes through the field object.
 
 Everything here is immutable and pure.  Subspaces are kept in a canonical
 reduced column echelon basis so that two subspaces are equal if and only
@@ -95,19 +100,20 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        bt = list(zip(*other.data)) if other.data else [()] * other.cols
+        add, mul, is_zero, zero = f.add, f.mul, f.is_zero, f.zero
+        # Row-sparse (Gustavson) product: row i of the result accumulates
+        # a . other[k] over the nonzero a = self[i][k] only, and each
+        # other[k] contributes only its nonzero entries.
+        other_nonzeros = [[(j, b) for j, b in enumerate(row) if not is_zero(b)]
+                          for row in other.data]
         out = []
         for row in self.data:
-            out_row = []
-            for col in bt:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        if self.rows == 0 or other.cols == 0:
-            return Matrix.zeros(f, self.rows, other.cols)
+            acc = [zero] * other.cols
+            for a, nonzeros in zip(row, other_nonzeros):
+                if nonzeros and not is_zero(a):
+                    for j, b in nonzeros:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
         return Matrix(f, self.rows, other.cols, out)
 
     def scale(self, scalar) -> "Matrix":
@@ -201,31 +207,51 @@ def block_diag(*mats: Matrix) -> Matrix:
     return Matrix(field, rows, cols, out)
 
 
+def _scale_to_pivot(field, row: list, p: int) -> list:
+    """Scale ``row`` in place so that its entry at ``p``, its first nonzero
+    one, becomes one; return its nonzero ``(column, value)`` entries."""
+    nonzeros = [(j, v) for j, v in enumerate(row[p:], p) if not field.is_zero(v)]
+    if not field.is_one(row[p]):
+        inv = field.inv(row[p])
+        nonzeros = [(j, field.mul(inv, v)) for j, v in nonzeros]
+        for j, v in nonzeros:
+            row[j] = v
+    return nonzeros
+
+
+def _subtract(field, row: list, factor, nonzeros: list):
+    """row -= factor . pivot_row in place, where ``nonzeros`` lists the
+    pivot row's nonzero entries; the other columns are left untouched."""
+    sub, mul = field.sub, field.mul
+    for j, y in nonzeros:
+        row[j] = sub(row[j], mul(factor, y))
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form of ``m``.
 
     Returns ``(echelon, rank, pivot_columns)``.  Deterministic: pivots are
     chosen leftmost first, within a column the first nonzero row wins.
+    Each elimination step touches only the nonzero entries of the pivot
+    row, all of which lie at or right of the pivot column.
     """
     field = m.field
+    is_zero = field.is_zero
     a = [list(row) for row in m.data]
     pivots = []
     r = 0
     for c in range(m.cols):
         if r == m.rows:
             break
-        pr = next((i for i in range(r, m.rows) if not field.is_zero(a[i][c])), None)
+        pr = next((i for i in range(r, m.rows) if not is_zero(a[i][c])), None)
         if pr is None:
             continue
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
-        inv = field.inv(a[r][c])
-        if not field.is_one(a[r][c]):
-            a[r] = [field.mul(inv, v) for v in a[r]]
-        for i in range(m.rows):
-            if i != r and not field.is_zero(a[i][c]):
-                factor = a[i][c]
-                a[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(a[i], a[r])]
+        nonzeros = _scale_to_pivot(field, a[r], c)
+        for i, row in enumerate(a):
+            if i != r and not is_zero(row[c]):
+                _subtract(field, row, row[c], nonzeros)
         pivots.append(c)
         r += 1
     return Matrix(field, m.rows, m.cols, a), r, tuple(pivots)
@@ -268,7 +294,14 @@ def combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
 
 
 class EchelonTracker:
-    """Incremental row-reduction used by greedy basis extension loops."""
+    """Incremental row-reduction used by greedy basis extension loops.
+
+    Each vector that enlarges the span is reduced, scaled to a leading one
+    and stored once, as the list of its nonzero ``(column, value)``
+    entries keyed by that leading (pivot) column.  The stored rows are in
+    echelon form, so reducing a vector by them in increasing pivot order
+    leaves zero exactly when it lies in their span.
+    """
 
     def __init__(self, field, dim: int):
         self.field = field
@@ -276,12 +309,9 @@ class EchelonTracker:
         self.rows: dict[int, list] = {}
 
     def _reduce(self, vec: list) -> list:
-        f = self.field
         for p in sorted(self.rows):
-            if not f.is_zero(vec[p]):
-                factor = vec[p]
-                row = self.rows[p]
-                vec = [f.sub(x, f.mul(factor, y)) for x, y in zip(vec, row)]
+            if not self.field.is_zero(vec[p]):
+                _subtract(self.field, vec, vec[p], self.rows[p])
         return vec
 
     def add(self, entries: Iterable) -> bool:
@@ -291,13 +321,7 @@ class EchelonTracker:
         p = next((i for i, v in enumerate(vec) if not f.is_zero(v)), None)
         if p is None:
             return False
-        inv = f.inv(vec[p])
-        vec = [f.mul(inv, v) for v in vec]
-        for q, row in self.rows.items():
-            if not f.is_zero(row[p]):
-                factor = row[p]
-                self.rows[q] = [f.sub(x, f.mul(factor, y)) for x, y in zip(row, vec)]
-        self.rows[p] = vec
+        self.rows[p] = _scale_to_pivot(f, vec, p)
         return True
 
     def contains(self, entries: Iterable) -> bool:

@@ -14,10 +14,11 @@ from moddeg import AlgebraPresentation, Matrix, Representation, Subspace
 from moddeg.fields import QQ
 
 
-def independent_rank(rows: list[list[Fraction]]) -> int:
+def independent_rank(rows: list[list[Fraction]], p: int = 0) -> int:
     """Fraction-based Gaussian elimination written from scratch (no pivot
-    normalization, row-max pivot choice)."""
-    rows = [list(map(Fraction, r)) for r in rows]
+    normalization, row-max pivot choice); with a prime ``p``, the rank of
+    the integer entries reduced mod p instead."""
+    rows = [[Fraction(v) % p if p else Fraction(v) for v in r] for r in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0
     used = set()
@@ -37,9 +38,54 @@ def independent_rank(rows: list[list[Fraction]]) -> int:
         prow = rows[pivot]
         for i, r in enumerate(rows):
             if i != pivot and r[c] != 0:
-                factor = r[c] / prow[c]
-                rows[i] = [x - factor * y for x, y in zip(r, prow)]
+                if p:
+                    factor = r[c] * pow(int(prow[c]), -1, p)
+                    rows[i] = [(x - factor * y) % p for x, y in zip(r, prow)]
+                else:
+                    factor = r[c] / prow[c]
+                    rows[i] = [x - factor * y for x, y in zip(r, prow)]
     return rank
+
+
+def dense_rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Reduced row echelon form by plain dense Gauss-Jordan elimination:
+    the leftmost column with a nonzero entry at or below the current row
+    gives the pivot, the first such row is swapped up and normalized, and
+    every other row subtracts its multiple of it across all columns.  The
+    reference the zero-skipping ``rref`` must match exactly."""
+    fld = m.field
+    a = [list(row) for row in m.data]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        below = [i for i in range(r, m.rows) if not fld.is_zero(a[i][c])]
+        if not below:
+            continue
+        a[r], a[below[0]] = a[below[0]], a[r]
+        scale = fld.inv(a[r][c])
+        a[r] = [fld.mul(scale, v) for v in a[r]]
+        for i in range(m.rows):
+            if i != r:
+                factor = a[i][c]
+                a[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return Matrix(fld, m.rows, m.cols, a), len(pivots), tuple(pivots)
+
+
+def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a . b as the dense triple loop over every cell: the
+    reference the zero-skipping product must match exactly."""
+    fld = a.field
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = fld.zero
+            for k in range(a.cols):
+                acc = fld.add(acc, fld.mul(a.data[i][k], b.data[k][j]))
+            row.append(acc)
+        out.append(row)
+    return Matrix(fld, a.rows, b.cols, out)
 
 
 def independent_hom_dim(m: Representation, n: Representation) -> int:

@@ -231,6 +231,25 @@ def test_cli_zero_denominator_is_parse_error(tmp_path):
     assert "zero denominator" in error["message"]
 
 
+@pytest.mark.parametrize("site, mutate", [
+    ("relations[0][0]", lambda alg: alg["relations"][0][0][1].__setitem__(0, [])),
+    ("idempotents", lambda alg: alg["idempotents"].__setitem__(0, [])),
+    ("radical", lambda alg: alg["radical"].__setitem__(0, {})),
+    ("unit", lambda alg: alg.__setitem__("unit", ["e"])),
+    ("name", lambda alg: alg.__setitem__("name", ["k[X]/(X^2)"])),
+], ids=["relation-word", "idempotents", "radical", "unit", "name"])
+def test_cli_non_string_generator_name_is_parse_error(tmp_path, site, mutate):
+    payload = json.loads((DATA / "rep_dual_lambda.json").read_text(encoding="utf-8"))
+    mutate(payload["algebra"])
+    path = tmp_path / "bad_name.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].endswith(f"at $.algebra.{site}")
+
+
 @pytest.mark.parametrize("value", ["abc", "1/0", "0,abc"])
 def test_cli_deform_bad_parameter_is_parse_error(value):
     code, out, err = run_cli(["deform", data_path("ladder_nilp3_corner.json"),
