@@ -92,6 +92,8 @@ def _parse_matrix(obj, fld, rows: int, cols, path: str) -> Matrix:
     if not isinstance(obj, list) or len(obj) != rows:
         _fail(f"expected {rows} matrix rows", path)
     if cols is None:
+        if obj and not isinstance(obj[0], list):
+            _fail("row 0 must be a list", f"{path}[0]")
         cols = len(obj[0]) if obj else 0
     data = []
     for i, row in enumerate(obj):
@@ -246,10 +248,14 @@ def parse_document(text: str) -> Document:
         return Document(kind, fld, RiedtmannCertificate.build(x, m, n, f, g, q))
 
     if kind == "ladder":
+        if not isinstance(obj["x"], list):
+            _fail("x must be a list of representations", "$.x")
         xs = [_parse_rep(o, alg, fld, f"$.x[{i}]") for i, o in enumerate(obj["x"])]
         d = len(xs)
 
         def chain(stage_key, inc_key):
+            if not isinstance(obj[stage_key], list):
+                _fail(f"{stage_key} must have {d} stages", f"$.{stage_key}")
             stages = [_parse_rep(o, alg, fld, f"$.{stage_key}[{i}]")
                       for i, o in enumerate(obj[stage_key])]
             if len(stages) != d:

@@ -1,9 +1,11 @@
 """Exact matrices and canonical subspaces.
 
-Matrices are stored densely, as tuples of rows, but the kernels skip
-zeros: products run over the nonzero entries of both factors, and
-elimination updates rows only where the pivot row is nonzero.  Scalar
-arithmetic always goes through the field object.
+Matrices are stored densely, as tuples of field elements, and products
+run over the nonzero entries of both factors through the field object.
+Elimination (``rref`` and ``EchelonTracker``) runs on rows of plain ints
+instead: canonical residues over GF(p), and over QQ each row cleared of
+denominators and reduced fraction-free, with its content divided out
+after every step; only the final pivot rows become ``Fraction``s again.
 
 Everything here is immutable and pure.  Subspaces are kept in a canonical
 reduced column echelon basis so that two subspaces are equal if and only
@@ -16,6 +18,8 @@ derived bases are reproducible bit for bit across runs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, NotContained
@@ -207,24 +211,61 @@ def block_diag(*mats: Matrix) -> Matrix:
     return Matrix(field, rows, cols, out)
 
 
-def _scale_to_pivot(field, row: list, p: int) -> list:
-    """Scale ``row`` in place so that its entry at ``p``, its first nonzero
-    one, becomes one; return its nonzero ``(column, value)`` entries."""
-    nonzeros = [(j, v) for j, v in enumerate(row[p:], p) if not field.is_zero(v)]
-    if not field.is_one(row[p]):
-        inv = field.inv(row[p])
-        nonzeros = [(j, field.mul(inv, v)) for j, v in nonzeros]
+def _int_row(row, p: int, zero) -> list:
+    """``row`` as plain ints: canonical residues over GF(p); over QQ (``p``
+    is 0) the row times the lcm of its nonzero entries' denominators.
+    Most QQ zeros are the field's shared ``zero``, which an identity test
+    skips without a ``Fraction`` method call."""
+    if p:
+        return [v % p for v in row]
+    ratios = [(j, v.as_integer_ratio()) for j, v in enumerate(row)
+              if v is not zero and v]
+    den = lcm(*[d for _, (_, d) in ratios])
+    out = [0] * len(row)
+    for j, (n, d) in ratios:
+        out[j] = n * (den // d)
+    return out
+
+
+def _pivot_row(row: list, c: int, p: int) -> list:
+    """The nonzero ``(column, value)`` entries of the int ``row``, whose
+    first nonzero entry sits at ``c``; over GF(p) the row is first scaled
+    in place so that this pivot is one."""
+    nonzeros = [(j, v) for j, v in enumerate(row[c:], c) if v]
+    if p and row[c] != 1:
+        inv = pow(row[c], -1, p)
+        nonzeros = [(j, v * inv % p) for j, v in nonzeros]
         for j, v in nonzeros:
             row[j] = v
     return nonzeros
 
 
-def _subtract(field, row: list, factor, nonzeros: list):
-    """row -= factor . pivot_row in place, where ``nonzeros`` lists the
-    pivot row's nonzero entries; the other columns are left untouched."""
-    sub, mul = field.sub, field.mul
-    for j, y in nonzeros:
-        row[j] = sub(row[j], mul(factor, y))
+def _eliminate(row: list, c: int, pivot: list, p: int) -> list:
+    """Clear column ``c`` of the int ``row`` with the pivot row given by its
+    nonzero entries ``pivot`` (first entry at ``c``); return the new row.
+
+    Over GF(p) the pivot is one and only the pivot row's columns change.
+    Over QQ (``p`` is 0) the step is fraction-free: with pivot ``pv`` and
+    ``g = gcd(pv, f)`` for ``f = row[c]``, the row becomes
+    ``(pv/g) row - (f/g) pivot`` divided by its content.
+    """
+    f = row[c]
+    if p:
+        for j, y in pivot:
+            row[j] = (row[j] - f * y) % p
+        return row
+    pv = pivot[0][1]
+    g = gcd(pv, f)
+    if g != pv:
+        scale = pv // g
+        row = [scale * x for x in row]
+    f //= g
+    for j, y in pivot:
+        row[j] -= f * y
+    g = gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    return row
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
@@ -232,28 +273,39 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
     Returns ``(echelon, rank, pivot_columns)``.  Deterministic: pivots are
     chosen leftmost first, within a column the first nonzero row wins.
-    Each elimination step touches only the nonzero entries of the pivot
-    row, all of which lie at or right of the pivot column.
+    Elimination runs on int rows (``_int_row``); each step touches only
+    the pivot row's nonzero entries, except that a fraction-free QQ step
+    rescales the whole row.  Over QQ the pivot rows are divided by their
+    pivots at the end, which gives the unique RREF.
     """
     field = m.field
-    is_zero = field.is_zero
-    a = [list(row) for row in m.data]
+    p = field.characteristic
+    a = [_int_row(row, p, field.zero) for row in m.data]
     pivots = []
     r = 0
     for c in range(m.cols):
         if r == m.rows:
             break
-        pr = next((i for i in range(r, m.rows) if not is_zero(a[i][c])), None)
-        if pr is None:
+        for pr in range(r, m.rows):
+            if a[pr][c]:
+                break
+        else:
             continue
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
-        nonzeros = _scale_to_pivot(field, a[r], c)
+        nonzeros = _pivot_row(a[r], c, p)
         for i, row in enumerate(a):
-            if i != r and not is_zero(row[c]):
-                _subtract(field, row, row[c], nonzeros)
+            if row[c] and i != r:
+                a[i] = _eliminate(row, c, nonzeros, p)
         pivots.append(c)
         r += 1
+    if not p:
+        # A pivot row is zero left of its pivot c and one at c.
+        zero, one = field.zero, field.one
+        a = [[zero] * c + [one]
+             + [Fraction(v, row[c]) if v else zero for v in row[c + 1:]]
+             for row, c in zip(a, pivots)]
+        a.extend([zero] * m.cols for _ in range(m.rows - r))
     return Matrix(field, m.rows, m.cols, a), r, tuple(pivots)
 
 
@@ -296,11 +348,12 @@ def combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
 class EchelonTracker:
     """Incremental row-reduction used by greedy basis extension loops.
 
-    Each vector that enlarges the span is reduced, scaled to a leading one
-    and stored once, as the list of its nonzero ``(column, value)``
-    entries keyed by that leading (pivot) column.  The stored rows are in
-    echelon form, so reducing a vector by them in increasing pivot order
-    leaves zero exactly when it lies in their span.
+    Vectors are reduced as int rows, with the same step as ``rref``.  Each
+    one that enlarges the span is stored once, as the list of its nonzero
+    ``(column, value)`` entries (over GF(p) scaled to a leading one) keyed
+    by its leading (pivot) column.  The stored rows are in echelon form,
+    so reducing a vector by them in increasing pivot order leaves zero
+    exactly when it lies in their span.
     """
 
     def __init__(self, field, dim: int):
@@ -308,26 +361,25 @@ class EchelonTracker:
         self.dim = dim
         self.rows: dict[int, list] = {}
 
-    def _reduce(self, vec: list) -> list:
-        for p in sorted(self.rows):
-            if not self.field.is_zero(vec[p]):
-                _subtract(self.field, vec, vec[p], self.rows[p])
+    def _reduce(self, entries: Iterable) -> list:
+        f = self.field
+        vec = _int_row([f.coerce(v) for v in entries], f.characteristic, f.zero)
+        for c in sorted(self.rows):
+            if vec[c]:
+                vec = _eliminate(vec, c, self.rows[c], f.characteristic)
         return vec
 
     def add(self, entries: Iterable) -> bool:
         """Insert a vector; True if it enlarged the span."""
-        f = self.field
-        vec = self._reduce([f.coerce(v) for v in entries])
-        p = next((i for i, v in enumerate(vec) if not f.is_zero(v)), None)
-        if p is None:
+        vec = self._reduce(entries)
+        c = next((i for i, v in enumerate(vec) if v), None)
+        if c is None:
             return False
-        self.rows[p] = _scale_to_pivot(f, vec, p)
+        self.rows[c] = _pivot_row(vec, c, self.field.characteristic)
         return True
 
     def contains(self, entries: Iterable) -> bool:
-        f = self.field
-        vec = self._reduce([f.coerce(v) for v in entries])
-        return all(f.is_zero(v) for v in vec)
+        return not any(self._reduce(entries))
 
     @property
     def rank(self) -> int:
@@ -351,8 +403,7 @@ class Subspace:
     @classmethod
     def from_columns(cls, mat: Matrix) -> "Subspace":
         ech, rank, _ = rref(mat.transpose())
-        rows = ech.data[:rank]
-        basis = Matrix.from_rows(mat.field, rows, cols=mat.rows).transpose()
+        basis = Matrix(mat.field, rank, mat.rows, ech.data[:rank]).transpose()
         return cls(mat.field, mat.rows, basis)
 
     @classmethod
@@ -459,8 +510,7 @@ def kernel(m: Matrix) -> Subspace:
         for r, p in enumerate(pivots):
             v[p] = field.neg(ech.data[r][j])
         cols.append(v)
-    basis = Matrix.from_columns(field, cols, rows=m.cols)
-    return Subspace.from_columns(basis)
+    return Subspace.from_columns(Matrix(field, len(cols), m.cols, cols).transpose())
 
 
 def image(m: Matrix) -> Subspace:

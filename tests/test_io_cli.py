@@ -3,6 +3,7 @@ command-line interface replayed over the shipped fixture corpus."""
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -258,3 +259,60 @@ def test_cli_deform_bad_parameter_is_parse_error(value):
     error = json.loads(err)
     assert error["error"] == "ParseError"
     assert error["message"].endswith("at --t")
+
+
+@pytest.mark.parametrize("name, site, mutate", [
+    ("ladder_nilp3_corner.json", "x", lambda doc: doc.__setitem__("x", None)),
+    ("ladder_nilp3_corner.json", "m_stages", lambda doc: doc.__setitem__("m_stages", 3)),
+    ("ladder_nilp3_corner.json", "n_stages", lambda doc: doc.__setitem__("n_stages", 1.5)),
+    ("sub_dual_soc.json", "basis[0]", lambda doc: doc["basis"].__setitem__(0, None)),
+], ids=["ladder-x", "ladder-m_stages", "ladder-n_stages", "submodule-basis-row"])
+def test_cli_non_list_payload_is_parse_error(tmp_path, name, site, mutate):
+    payload = json.loads((DATA / name).read_text(encoding="utf-8"))
+    mutate(payload)
+    path = tmp_path / "bad_list.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].endswith(f"at $.{site}")
+
+
+FUZZ_VALUES = ([], {}, None, 0, 1.5, "x", "1/0")
+
+
+def mutate_document(doc, rng):
+    """Replace the value at a random JSON path of ``doc`` with one of
+    FUZZ_VALUES, or delete it when it is an object key.  The path is a
+    random walk from the root that stops at each level with probability
+    1/2, so top-level keys are mutated as often as deep matrix entries."""
+    parent, key = doc, rng.choice(list(doc))
+    while isinstance(parent[key], (dict, list)) and parent[key] and rng.random() < 0.5:
+        parent = parent[key]
+        key = rng.choice(list(parent) if isinstance(parent, dict) else range(len(parent)))
+    choices = FUZZ_VALUES + (("delete",) if isinstance(parent, dict) else ())
+    value = rng.choice(choices)
+    if value == "delete":
+        del parent[key]
+    else:
+        parent[key] = json.loads(json.dumps(value))
+
+
+def test_mutated_shipped_documents_parse_or_raise_parse_error():
+    docs = [json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(DATA.iterdir(), key=lambda p: p.name)
+            if path.name.endswith(".json") and path.name != "golden.json"]
+    rng = random.Random(20140)
+    escaped = []
+    for _ in range(3000):
+        doc = json.loads(json.dumps(rng.choice(docs)))
+        mutate_document(doc, rng)
+        text = json.dumps(doc)
+        try:
+            parse_document(text)
+        except ParseError:
+            pass
+        except Exception as err:   # anything else would be a traceback, exit 1
+            escaped.append(f"{type(err).__name__}: {err} on {text[:120]}")
+    assert not escaped, escaped[:3]

@@ -224,6 +224,63 @@ def test_echelon_tracker_agrees_with_independent_rank(m, data):
         assert tracker.contains(row) == (grown == tracker.rank)
 
 
+@st.composite
+def wide_matrices(draw, cols=None, fld=None):
+    """Matrices of shape 0..10 x 0..10 at densities 0.05, 0.3 or 1: over QQ
+    with signed numerators up to 2**64 and denominators up to 10**6, so
+    pivots come negative and rows need wide denominators cleared; over
+    GF(2) and GF(101) with arbitrary residues."""
+    if fld is None:
+        fld = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, 10))
+    if cols is None:
+        cols = draw(st.integers(0, 10))
+    density = draw(st.sampled_from([0.05, 0.3, 1]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def cell():
+        if rng.random() >= density:
+            return 0
+        if fld == QQ:
+            return Fraction(rng.randint(-2 ** 64, 2 ** 64), rng.randint(1, 10 ** 6))
+        return rng.randrange(fld.p)
+    return Matrix.from_rows(fld, [[cell() for _ in range(cols)] for _ in range(rows)],
+                            cols=cols)
+
+
+@given(wide_matrices())
+@settings(max_examples=200, deadline=None)
+def test_integer_kernel_matches_dense_reference_on_wide_entries(m):
+    echelon, rank, pivots = rref(m)
+    assert (echelon, rank, pivots) == dense_rref(m)
+    entries = [v for row in echelon.data for v in row]
+    if m.field == QQ:
+        assert all(type(v) is Fraction for v in entries)
+    else:
+        assert all(type(v) is int and 0 <= v < m.field.p for v in entries)
+
+
+@given(wide_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_echelon_tracker_agrees_with_independent_rank_on_wide_entries(m, data):
+    fld = m.field
+    p = 0 if fld == QQ else fld.p
+    tracker = EchelonTracker(fld, m.cols)
+    for row in m.data:
+        tracker.add(row)
+    assert tracker.rank == independent_rank(m.data, p)
+    # Probes in the span (random combinations of the rows) and, mostly,
+    # outside it (rows of another wide matrix).
+    probes = list(data.draw(wide_matrices(cols=m.cols, fld=fld)).data)
+    for _ in range(2):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
+        probes.append([fld.coerce(sum((c * row[j] for c, row in zip(coeffs, m.data)), 0))
+                       for j in range(m.cols)])
+    for row in probes:
+        grown = independent_rank(list(m.data) + [row], p)
+        assert tracker.contains(row) == (grown == tracker.rank)
+
+
 class CountingField(PrimeField):
     """GF(p) that counts its add, sub and mul calls."""
 
