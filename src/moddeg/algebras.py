@@ -206,18 +206,6 @@ class ModuleMap:
         return all((self.mat @ a) == (b @ self.mat)
                    for a, b in zip(self.source.mats, self.target.mats))
 
-    def validate(self) -> Report:
-        items = [CheckItem("same algebra", self.source.algebra == self.target.algebra),
-                 CheckItem("same field", self.source.field == self.target.field)]
-        for name, a, b in zip(self.source.algebra.generators, self.source.mats, self.target.mats):
-            items.append(CheckItem(f"intertwines {name}", (self.mat @ a) == (b @ self.mat)))
-        return Report(tuple(items))
-
-    def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        if inner.target is not self.source and inner.target != self.source:
-            raise AlgebraMismatch("composition target/source mismatch")
-        return ModuleMap(inner.source, self.target, self.mat @ inner.mat)
-
     @classmethod
     def identity(cls, rep: Representation) -> "ModuleMap":
         return cls(rep, rep, Matrix.identity(rep.field, rep.dim))

@@ -5,6 +5,8 @@ paths (or ``-`` for stdin, one document per line) and exits with 0 for
 success / verified-true, 1 for verified-false, and 2 for errors or
 undecided outcomes; errors are reported as a structured JSON object on
 stderr.
+
+Each command is declared once, as an entry of ``COMMANDS``.
 """
 
 from __future__ import annotations
@@ -12,14 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .errors import FieldMismatch, ModdegError, ParseError
-from .algebras import hom_dim, validate
+from .algebras import Report, Representation, hom_dim, validate
 from .degeneration import (codim, compose_certificates, hom_defect,
                            orbit_dim_gl, push_submodule, split_submodule,
                            verify_certificate, virtual_chain)
-from .io_json import (CompositionVectorDoc, Document, document_for,
-                      format_document, parse_document)
+from .io_json import (CompositionVectorDoc, document_for, format_document,
+                      parse_document)
 from .ladders import (build_family, evaluate_family, make_monic,
                       orbit_dim_ud, psi_embed, verify_ladder)
 from .oracles import (enum_submodules, nilpotent_degenerates,
@@ -28,289 +31,205 @@ from .series import (TriangularRep, chain_to_triangular, composition_series,
                      composition_vector, series_isomorphic,
                      series_to_triangular, simultaneous_triangularize)
 
+REP = "representation"
 
-class _DocSource:
-    """Loads documents from paths, reading stdin lazily line by line."""
 
-    def __init__(self):
-        self._stdin_lines = None
+def _stdin_lines():
+    """The lines of stdin, read when the first one is asked for."""
+    yield from sys.stdin.read().splitlines()
+    raise ParseError("expected another document on stdin")
 
-    def load(self, path: str) -> Document:
+
+def _load(path: str, kinds: tuple[str, ...], stdin, fields: set):
+    """The value of the document of one of ``kinds`` at ``path`` (``-``: the
+    next line of ``stdin``); its field is added to ``fields``."""
+    try:
         if path == "-":
-            if self._stdin_lines is None:
-                self._stdin_lines = iter(sys.stdin.read().splitlines())
-            try:
-                text = next(self._stdin_lines)
-            except StopIteration:
-                raise ParseError("expected another document on stdin")
+            text = next(stdin)
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        return parse_document(text)
-
-    def expect(self, path: str, *kinds: str):
-        doc = self.load(path)
-        if doc.kind not in kinds:
-            raise ParseError(
-                f"expected a {' or '.join(kinds)} document, got {doc.kind!r}",
-                path=path)
-        return doc
-
-
-def _emit(value):
-    sys.stdout.write(format_document(document_for(value)))
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text ({err.reason})", path=path) from None
+    doc = parse_document(text)
+    if doc.kind not in kinds:
+        raise ParseError(
+            f"expected a {' or '.join(kinds)} document, got {doc.kind!r}",
+            path=path)
+    fields.add(doc.field)
+    return doc.value
 
 
-def _emit_report(report) -> int:
-    sys.stdout.write(json.dumps(report.as_dict(), separators=(",", ":")) + "\n")
-    return 0 if report.ok else 1
+def _emit(result, fld) -> int:
+    """Print a command's result and return its exit code.  A tuple prints
+    item by item.  A Report prints as compact JSON; it, a bool or None that
+    is false means verified false (exit 1).  Numbers, lists and dicts print
+    as JSON, anything else as its document over ``fld``."""
+    code = 0
+    for item in result if isinstance(result, tuple) else (result,):
+        if isinstance(item, Report):
+            sys.stdout.write(json.dumps(item.as_dict(), separators=(",", ":")) + "\n")
+            item = item.ok
+        if item is None or isinstance(item, bool):
+            code = 0 if item else 1
+        elif isinstance(item, (int, list, dict)):
+            sys.stdout.write(json.dumps(item) + "\n")
+        else:
+            sys.stdout.write(format_document(document_for(item, fld)))
+    return code
 
 
-def _check_same_field(*docs):
-    fields = {doc.field for doc in docs}
-    if len(fields) > 1:
-        raise FieldMismatch("documents use different ground fields")
+def _push_sub(cert, submodule):
+    result = push_submodule(cert, submodule)
+    return result.nprime, result.cert
+
+
+def _split_sub(x, y, submodule):
+    result = split_submodule(x, y, submodule)
+    return result.xprime, result.yprime, result.cert
+
+
+def _vchain(cert, submodule):
+    result = virtual_chain(cert, submodule)
+    dims = [[n.dim, y.dim] for n, y in result.trace]
+    return result.nfinal, result.yfinal, result.cert, {"trace_dims": dims}
+
+
+def _deform(ladder, t, cvec):
+    family = build_family(make_monic(ladder), cvec.entries if cvec else None)
+    fld = ladder.m_chain.stages[0].field
+    try:
+        ts = [fld.parse(text.strip()) for text in t.split(",")]
+    except ValueError as err:
+        raise ParseError(str(err), path="--t") from None
+    return tuple(evaluate_family(family, value).rep for value in ts)
+
+
+def _psi(doc):
+    if isinstance(doc, Representation):
+        return psi_embed(TriangularRep(doc))
+    return tuple(psi_embed(chain_to_triangular(chain))
+                 for chain in (doc.m_chain, doc.n_chain))
+
+
+def _oracle_nilp(m, n):
+    ok = nilpotent_degenerates(m, n)
+    return {"m_profile": list(nilpotent_rank_profile(m)),
+            "n_profile": list(nilpotent_rank_profile(n)), "degenerates": ok}, ok
+
+
+def _arg(name: str, *kinds: str, **options):
+    """A command argument: a path to a document of one of ``kinds``, or a
+    plain value when ``kinds`` is empty; ``options`` go to argparse."""
+    return name, kinds, options
+
+
+class Command(NamedTuple):
+    help: str
+    args: tuple      # _arg(..) per argument, documents in loading order
+    run: Callable    # the parsed values, in argument order -> result to _emit
+
+
+M, N = _arg("m", REP), _arg("n", REP)
+CERT, SUB = _arg("cert", "certificate"), _arg("submodule", "submodule")
+SERIES, LADDER = _arg("series", "series"), _arg("ladder", "ladder")
+
+COMMANDS = {
+    "validate": Command("check a representation's invariants",
+                        (_arg("file", REP),), validate),
+    "hom": Command("dimension of the intertwiner space", (M, N), hom_dim),
+    "codim": Command("orbit codimension [N,N]-[M,M]", (M, N), codim),
+    "orbit-dim": Command(
+        "conjugation orbit dimension",
+        (M, _arg("--ud", action="store_true",
+                 help="use the upper-triangular group on a triangular input")),
+        lambda m, ud: orbit_dim_ud(TriangularRep(m)) if ud else orbit_dim_gl(m)),
+    "check-cert": Command("verify a degeneration certificate", (CERT,),
+                          verify_certificate),
+    "push-sub": Command("transport a submodule along a certificate",
+                        (CERT, SUB), _push_sub),
+    "split-sub": Command(
+        "degenerate a submodule of a direct sum into factor parts",
+        (_arg("x", REP), _arg("y", REP), SUB), _split_sub),
+    "compose": Command("compose two certificates",
+                       (_arg("c1", "certificate"), _arg("c2", "certificate")),
+                       compose_certificates),
+    "vchain": Command("descend a virtual degeneration to a submodule",
+                      (CERT, SUB), _vchain),
+    "hom-defect": Command(
+        "[X,N]-[X,M] over test modules", (M, N, _arg("tests", REP, nargs="+")),
+        lambda m, n, tests: hom_defect(m, n, tests).values),
+    "series": Command("socle-based composition series", (M,),
+                      composition_series),
+    "triangularize": Command("series-adapted triangular form", (SERIES,),
+                             lambda series: series_to_triangular(series).rep),
+    "comp-vector": Command(
+        "composition vector of a series", (SERIES,),
+        lambda series: CompositionVectorDoc(series.ambient.algebra,
+                                            composition_vector(series))),
+    "sim-tri": Command(
+        "simultaneous triangularization along matching series",
+        (M, N, _arg("sm", "series"), _arg("sn", "series")),
+        lambda m, n, sm, sn: tuple(
+            t.rep for t in simultaneous_triangularize(m, n, sm, sn))),
+    "series-iso": Command(
+        "upper-triangular conjugacy of triangular representations",
+        (_arg("a", REP), _arg("b", REP)),
+        lambda a, b: series_isomorphic(TriangularRep(a), TriangularRep(b))),
+    "check-ladder": Command("verify a ladder certificate", (LADDER,),
+                            verify_ladder),
+    "make-monic": Command("make the ladder's top row injective", (LADDER,),
+                          make_monic),
+    "deform": Command(
+        "evaluate the deformation family",
+        (LADDER, _arg("--t", required=True,
+                      help="comma-separated parameter values"),
+         _arg("--cvec", "cvector", help="composition-vector constraint document")),
+        _deform),
+    "psi": Command(
+        "embed triangular data into the upper-triangular matrix algebra",
+        (_arg("doc", REP, "ladder"),), _psi),
+    "oracle-nilp": Command(
+        "rank-profile degeneration test for one-generator nilpotents",
+        (M, N), _oracle_nilp),
+    "enum-subs": Command("enumerate all submodules over a small field", (M,),
+                         lambda m: tuple(enum_submodules(m))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moddeg",
         description="exact computations with module degenerations")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized searches")
-    parser.add_argument("--max-trials", type=int, default=32,
-                        help="trial bound for randomized searches")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, *args, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        for spec in args:
-            p.add_argument(spec)
-        return p
-
-    cmd("validate", "file", help="check a representation's invariants")
-    cmd("hom", "m", "n", help="dimension of the intertwiner space")
-    cmd("codim", "m", "n", help="orbit codimension [N,N]-[M,M]")
-    p = cmd("orbit-dim", "m", help="conjugation orbit dimension")
-    p.add_argument("--ud", action="store_true",
-                   help="use the upper-triangular group on a triangular input")
-    cmd("check-cert", "cert", help="verify a degeneration certificate")
-    cmd("push-sub", "cert", "submodule",
-        help="transport a submodule along a certificate")
-    cmd("split-sub", "x", "y", "submodule",
-        help="degenerate a submodule of a direct sum into factor parts")
-    cmd("compose", "c1", "c2", help="compose two certificates")
-    cmd("vchain", "cert", "submodule",
-        help="descend a virtual degeneration to a submodule")
-    p = cmd("hom-defect", "m", "n", help="[X,N]-[X,M] over test modules")
-    p.add_argument("tests", nargs="+")
-    cmd("series", "m", help="socle-based composition series")
-    cmd("triangularize", "series", help="series-adapted triangular form")
-    cmd("comp-vector", "series", help="composition vector of a series")
-    cmd("sim-tri", "m", "n", "sm", "sn",
-        help="simultaneous triangularization along matching series")
-    cmd("series-iso", "a", "b",
-        help="upper-triangular conjugacy of triangular representations")
-    cmd("check-ladder", "ladder", help="verify a ladder certificate")
-    cmd("make-monic", "ladder", help="make the ladder's top row injective")
-    p = cmd("deform", "ladder", help="evaluate the deformation family")
-    p.add_argument("--t", required=True,
-                   help="comma-separated parameter values")
-    p.add_argument("--cvec", help="composition-vector constraint document")
-    cmd("psi", "doc",
-        help="embed triangular data into the upper-triangular matrix algebra")
-    cmd("oracle-nilp", "m", "n",
-        help="rank-profile degeneration test for one-generator nilpotents")
-    cmd("enum-subs", "m", help="enumerate all submodules over a small field")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg, _, options in command.args:
+            p.add_argument(arg, **options)
     return parser
 
 
-def _run(args, src: _DocSource) -> int:
-    command = args.command
-
-    if command == "validate":
-        rep = src.expect(args.file, "representation").value
-        return _emit_report(validate(rep))
-
-    if command == "hom":
-        md, nd = src.expect(args.m, "representation"), src.expect(args.n, "representation")
-        _check_same_field(md, nd)
-        sys.stdout.write(f"{hom_dim(md.value, nd.value)}\n")
-        return 0
-
-    if command == "codim":
-        md, nd = src.expect(args.m, "representation"), src.expect(args.n, "representation")
-        _check_same_field(md, nd)
-        sys.stdout.write(f"{codim(md.value, nd.value)}\n")
-        return 0
-
-    if command == "orbit-dim":
-        rep = src.expect(args.m, "representation").value
-        if args.ud:
-            sys.stdout.write(f"{orbit_dim_ud(TriangularRep(rep))}\n")
-        else:
-            sys.stdout.write(f"{orbit_dim_gl(rep)}\n")
-        return 0
-
-    if command == "check-cert":
-        cert = src.expect(args.cert, "certificate").value
-        return _emit_report(verify_certificate(cert))
-
-    if command == "push-sub":
-        cd = src.expect(args.cert, "certificate")
-        sd = src.expect(args.submodule, "submodule")
-        _check_same_field(cd, sd)
-        result = push_submodule(cd.value, sd.value)
-        _emit(result.nprime)
-        _emit(result.cert)
-        return 0
-
-    if command == "split-sub":
-        xd = src.expect(args.x, "representation")
-        yd = src.expect(args.y, "representation")
-        sd = src.expect(args.submodule, "submodule")
-        _check_same_field(xd, yd, sd)
-        result = split_submodule(xd.value, yd.value, sd.value)
-        _emit(result.xprime)
-        _emit(result.yprime)
-        _emit(result.cert)
-        return 0
-
-    if command == "compose":
-        c1 = src.expect(args.c1, "certificate")
-        c2 = src.expect(args.c2, "certificate")
-        _check_same_field(c1, c2)
-        _emit(compose_certificates(c1.value, c2.value))
-        return 0
-
-    if command == "vchain":
-        cd = src.expect(args.cert, "certificate")
-        sd = src.expect(args.submodule, "submodule")
-        _check_same_field(cd, sd)
-        result = virtual_chain(cd.value, sd.value)
-        _emit(result.nfinal)
-        _emit(result.yfinal)
-        _emit(result.cert)
-        dims = [[n.dim, y.dim] for n, y in result.trace]
-        sys.stdout.write(json.dumps({"trace_dims": dims}) + "\n")
-        return 0
-
-    if command == "hom-defect":
-        md = src.expect(args.m, "representation")
-        nd = src.expect(args.n, "representation")
-        tests = [src.expect(t, "representation") for t in args.tests]
-        _check_same_field(md, nd, *tests)
-        report = hom_defect(md.value, nd.value, [t.value for t in tests])
-        sys.stdout.write(json.dumps(report.values) + "\n")
-        return 0
-
-    if command == "series":
-        rep = src.expect(args.m, "representation").value
-        _emit(composition_series(rep))
-        return 0
-
-    if command == "triangularize":
-        series = src.expect(args.series, "series").value
-        _emit(series_to_triangular(series).rep)
-        return 0
-
-    if command == "comp-vector":
-        series = src.expect(args.series, "series").value
-        vec = CompositionVectorDoc(series.ambient.algebra,
-                                   composition_vector(series))
-        sys.stdout.write(format_document(
-            Document("cvector", series.ambient.field, vec)))
-        return 0
-
-    if command == "sim-tri":
-        md = src.expect(args.m, "representation")
-        nd = src.expect(args.n, "representation")
-        smd = src.expect(args.sm, "series")
-        snd = src.expect(args.sn, "series")
-        _check_same_field(md, nd, smd, snd)
-        tm, tn = simultaneous_triangularize(md.value, nd.value,
-                                            smd.value, snd.value)
-        _emit(tm.rep)
-        _emit(tn.rep)
-        return 0
-
-    if command == "series-iso":
-        ad = src.expect(args.a, "representation")
-        bd = src.expect(args.b, "representation")
-        _check_same_field(ad, bd)
-        witness = series_isomorphic(TriangularRep(ad.value),
-                                    TriangularRep(bd.value))
-        if witness is None:
-            return 1
-        _emit(witness)
-        return 0
-
-    if command == "check-ladder":
-        ladder = src.expect(args.ladder, "ladder").value
-        return _emit_report(verify_ladder(ladder))
-
-    if command == "make-monic":
-        ladder = src.expect(args.ladder, "ladder").value
-        _emit(make_monic(ladder))
-        return 0
-
-    if command == "deform":
-        ld = src.expect(args.ladder, "ladder")
-        constraint = None
-        if args.cvec:
-            cd = src.expect(args.cvec, "cvector")
-            _check_same_field(ld, cd)
-            constraint = cd.value.entries
-        family = build_family(make_monic(ld.value), constraint)
-        try:
-            ts = [ld.field.parse(text.strip()) for text in args.t.split(",")]
-        except ValueError as err:
-            raise ParseError(str(err), path="--t") from None
-        for t in ts:
-            _emit(evaluate_family(family, t).rep)
-        return 0
-
-    if command == "psi":
-        doc = src.expect(args.doc, "representation", "ladder")
-        if doc.kind == "representation":
-            _emit(psi_embed(TriangularRep(doc.value)))
-        else:
-            for chain in (doc.value.m_chain, doc.value.n_chain):
-                _emit(psi_embed(chain_to_triangular(chain)))
-        return 0
-
-    if command == "oracle-nilp":
-        md = src.expect(args.m, "representation")
-        nd = src.expect(args.n, "representation")
-        _check_same_field(md, nd)
-        ok = nilpotent_degenerates(md.value, nd.value)
-        sys.stdout.write(json.dumps({
-            "m_profile": list(nilpotent_rank_profile(md.value)),
-            "n_profile": list(nilpotent_rank_profile(nd.value)),
-            "degenerates": ok}) + "\n")
-        return 0 if ok else 1
-
-    if command == "enum-subs":
-        rep = src.expect(args.m, "representation").value
-        for sub in enum_submodules(rep):
-            _emit(sub)
-        return 0
-
-    raise ModdegError(f"unhandled command {command!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load its documents in argument order (which fixes
+    the order they are read from stdin), check that they share one field,
+    and emit the handler's result.  Errors print as JSON on stderr."""
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
+    values, fields, stdin = [], set(), _stdin_lines()
     try:
-        return _run(args, _DocSource())
-    except ModdegError as err:
-        payload = {"error": type(err).__name__, "message": str(err)}
-        sys.stderr.write(json.dumps(payload) + "\n")
-        return 2
-    except OSError as err:
-        sys.stderr.write(json.dumps(
-            {"error": "IOError", "message": str(err)}) + "\n")
+        for name, kinds, _ in command.args:
+            value = getattr(args, name.lstrip("-"))
+            if kinds and isinstance(value, list):
+                value = [_load(path, kinds, stdin, fields) for path in value]
+            elif kinds and value is not None:
+                value = _load(value, kinds, stdin, fields)
+            values.append(value)
+        if len(fields) > 1:
+            raise FieldMismatch("documents use different ground fields")
+        return _emit(command.run(*values), fields.pop())
+    except (ModdegError, OSError) as err:
+        name = "IOError" if isinstance(err, OSError) else type(err).__name__
+        sys.stderr.write(json.dumps({"error": name, "message": str(err)}) + "\n")
         return 2
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import ParseError
 from .fields import GF, QQ
@@ -22,9 +23,6 @@ from .degeneration import RiedtmannCertificate
 from .linalg import Matrix, Subspace
 from .series import CompositionSeries, ModuleChain
 from .ladders import LadderCertificate, ladder_from_columns
-
-KINDS = ("algebra", "representation", "map", "submodule", "certificate",
-         "ladder", "series", "cvector")
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -102,10 +100,6 @@ def _parse_matrix(obj, fld, rows: int, cols, path: str) -> Matrix:
         data.append([_parse_scalar(v, fld, f"{path}[{i}][{j}]")
                      for j, v in enumerate(row)])
     return Matrix(fld, rows, cols, data)
-
-
-def _matrix_payload(m: Matrix) -> list:
-    return [[m.field.fmt(v) for v in row] for row in m.data]
 
 
 def _parse_algebra(obj, path: str) -> AlgebraPresentation:
@@ -188,120 +182,80 @@ def _parse_rep(obj, alg, fld, path: str) -> Representation:
     return Representation(alg, fld, dim, parsed)
 
 
-def _rep_payload(rep: Representation) -> dict:
-    return {"dim": rep.dim, "mats": [_matrix_payload(m) for m in rep.mats]}
+def _parse_map(obj, alg, fld, path) -> ModuleMap:
+    src = _parse_rep(obj["source"], alg, fld, path + ".source")
+    tgt = _parse_rep(obj["target"], alg, fld, path + ".target")
+    mat = _parse_matrix(obj["matrix"], fld, tgt.dim, src.dim, path + ".matrix")
+    return ModuleMap(src, tgt, mat)
 
 
-def parse_document(text: str) -> Document:
-    """Parse one JSON document; raises ParseError with position info."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
-    if not isinstance(obj, dict) or "kind" not in obj:
-        _fail('top level must be an object with a "kind"', "$")
-    kind = obj["kind"]
-    if kind not in KINDS:
-        _fail(f"unknown kind {kind!r}", "$.kind")
+def _parse_submodule(obj, alg, fld, path) -> Submodule:
+    amb = _parse_rep(obj["ambient"], alg, fld, path + ".ambient")
+    basis = _parse_matrix(obj["basis"], fld, amb.dim, None, path + ".basis")
+    return Submodule(amb, Subspace.from_columns(basis))
 
-    keys = {
-        "algebra": ("kind", "field", "algebra"),
-        "representation": ("kind", "field", "algebra", "dim", "mats"),
-        "map": ("kind", "field", "algebra", "source", "target", "matrix"),
-        "submodule": ("kind", "field", "algebra", "ambient", "basis"),
-        "certificate": ("kind", "field", "algebra", "x", "m", "n", "f", "g", "q"),
-        "ladder": ("kind", "field", "algebra", "x", "h", "m_stages", "m_inc",
-                   "n_stages", "n_inc", "f", "g", "q"),
-        "series": ("kind", "field", "algebra", "ambient", "flags", "factors"),
-        "cvector": ("kind", "field", "algebra", "entries"),
-    }[kind]
-    _expect_keys(obj, keys, "$")
-    fld = _parse_field(obj["field"], "$.field")
-    alg = _parse_algebra(obj["algebra"], "$.algebra")
 
-    if kind == "algebra":
-        return Document(kind, fld, alg)
+def _parse_certificate(obj, alg, fld, path) -> RiedtmannCertificate:
+    x = _parse_rep(obj["x"], alg, fld, path + ".x")
+    m = _parse_rep(obj["m"], alg, fld, path + ".m")
+    n = _parse_rep(obj["n"], alg, fld, path + ".n")
+    f = _parse_matrix(obj["f"], fld, x.dim, x.dim, path + ".f")
+    g = _parse_matrix(obj["g"], fld, m.dim, x.dim, path + ".g")
+    q = _parse_matrix(obj["q"], fld, n.dim, x.dim + m.dim, path + ".q")
+    return RiedtmannCertificate.build(x, m, n, f, g, q)
 
-    if kind == "representation":
-        rep = _parse_rep({"dim": obj["dim"], "mats": obj["mats"]}, alg, fld, "$")
-        return Document(kind, fld, rep)
 
-    if kind == "map":
-        src = _parse_rep(obj["source"], alg, fld, "$.source")
-        tgt = _parse_rep(obj["target"], alg, fld, "$.target")
-        mat = _parse_matrix(obj["matrix"], fld, tgt.dim, src.dim, "$.matrix")
-        return Document(kind, fld, ModuleMap(src, tgt, mat))
+def _parse_ladder(obj, alg, fld, path) -> LadderCertificate:
+    if not isinstance(obj["x"], list):
+        _fail("x must be a list of representations", path + ".x")
+    xs = [_parse_rep(o, alg, fld, f"{path}.x[{i}]") for i, o in enumerate(obj["x"])]
+    d = len(xs)
 
-    if kind == "submodule":
-        amb = _parse_rep(obj["ambient"], alg, fld, "$.ambient")
-        basis = _parse_matrix(obj["basis"], fld, amb.dim, None, "$.basis")
-        return Document(kind, fld,
-                        Submodule(amb, Subspace.from_columns(basis)))
+    def chain(stage_key, inc_key):
+        if not isinstance(obj[stage_key], list):
+            _fail(f"{stage_key} must have {d} stages", f"{path}.{stage_key}")
+        stages = [_parse_rep(o, alg, fld, f"{path}.{stage_key}[{i}]")
+                  for i, o in enumerate(obj[stage_key])]
+        if len(stages) != d:
+            _fail(f"{stage_key} must have {d} stages", f"{path}.{stage_key}")
+        incs = obj[inc_key]
+        if not isinstance(incs, list) or len(incs) != d - 1:
+            _fail(f"{inc_key} must have {d - 1} maps", f"{path}.{inc_key}")
+        maps = tuple(
+            ModuleMap(stages[i], stages[i + 1],
+                      _parse_matrix(incs[i], fld, stages[i + 1].dim,
+                                    stages[i].dim, f"{path}.{inc_key}[{i}]"))
+            for i in range(d - 1))
+        return ModuleChain(tuple(stages), maps)
 
-    if kind == "certificate":
-        x = _parse_rep(obj["x"], alg, fld, "$.x")
-        m = _parse_rep(obj["m"], alg, fld, "$.m")
-        n = _parse_rep(obj["n"], alg, fld, "$.n")
-        f = _parse_matrix(obj["f"], fld, x.dim, x.dim, "$.f")
-        g = _parse_matrix(obj["g"], fld, m.dim, x.dim, "$.g")
-        q = _parse_matrix(obj["q"], fld, n.dim, x.dim + m.dim, "$.q")
-        return Document(kind, fld, RiedtmannCertificate.build(x, m, n, f, g, q))
+    m_chain = chain("m_stages", "m_inc")
+    n_chain = chain("n_stages", "n_inc")
+    for key, count in (("h", d - 1), ("f", d), ("g", d), ("q", d)):
+        if not isinstance(obj[key], list) or len(obj[key]) != count:
+            _fail(f"{key} must have {count} matrices", f"{path}.{key}")
+    h = [_parse_matrix(obj["h"][i], fld, xs[i + 1].dim, xs[i].dim, f"{path}.h[{i}]")
+         for i in range(d - 1)]
+    f = [_parse_matrix(obj["f"][i], fld, xs[i].dim, xs[i].dim, f"{path}.f[{i}]")
+         for i in range(d)]
+    g = [_parse_matrix(obj["g"][i], fld, m_chain.stages[i].dim, xs[i].dim,
+                       f"{path}.g[{i}]") for i in range(d)]
+    q = [_parse_matrix(obj["q"][i], fld, n_chain.stages[i].dim,
+                       xs[i].dim + m_chain.stages[i].dim, f"{path}.q[{i}]")
+         for i in range(d)]
+    return ladder_from_columns(m_chain, n_chain, xs, h, f, g, q)
 
-    if kind == "ladder":
-        if not isinstance(obj["x"], list):
-            _fail("x must be a list of representations", "$.x")
-        xs = [_parse_rep(o, alg, fld, f"$.x[{i}]") for i, o in enumerate(obj["x"])]
-        d = len(xs)
 
-        def chain(stage_key, inc_key):
-            if not isinstance(obj[stage_key], list):
-                _fail(f"{stage_key} must have {d} stages", f"$.{stage_key}")
-            stages = [_parse_rep(o, alg, fld, f"$.{stage_key}[{i}]")
-                      for i, o in enumerate(obj[stage_key])]
-            if len(stages) != d:
-                _fail(f"{stage_key} must have {d} stages", f"$.{stage_key}")
-            incs = obj[inc_key]
-            if not isinstance(incs, list) or len(incs) != d - 1:
-                _fail(f"{inc_key} must have {d - 1} maps", f"$.{inc_key}")
-            maps = tuple(
-                ModuleMap(stages[i], stages[i + 1],
-                          _parse_matrix(incs[i], fld, stages[i + 1].dim,
-                                        stages[i].dim, f"$.{inc_key}[{i}]"))
-                for i in range(d - 1))
-            return ModuleChain(tuple(stages), maps)
-
-        m_chain = chain("m_stages", "m_inc")
-        n_chain = chain("n_stages", "n_inc")
-        for key, count in (("h", d - 1), ("f", d), ("g", d), ("q", d)):
-            if not isinstance(obj[key], list) or len(obj[key]) != count:
-                _fail(f"{key} must have {count} matrices", f"$.{key}")
-        h = [_parse_matrix(obj["h"][i], fld, xs[i + 1].dim, xs[i].dim, f"$.h[{i}]")
-             for i in range(d - 1)]
-        f = [_parse_matrix(obj["f"][i], fld, xs[i].dim, xs[i].dim, f"$.f[{i}]")
-             for i in range(d)]
-        g = [_parse_matrix(obj["g"][i], fld, m_chain.stages[i].dim, xs[i].dim,
-                           f"$.g[{i}]") for i in range(d)]
-        q = [_parse_matrix(obj["q"][i], fld, n_chain.stages[i].dim,
-                           xs[i].dim + m_chain.stages[i].dim, f"$.q[{i}]")
-             for i in range(d)]
-        return Document(kind, fld,
-                        ladder_from_columns(m_chain, n_chain, xs, h, f, g, q))
-
-    if kind == "series":
-        amb = _parse_rep(obj["ambient"], alg, fld, "$.ambient")
-        flags = obj["flags"]
-        if not isinstance(flags, list) or len(flags) != amb.dim:
-            _fail(f"flags must have {amb.dim} entries", "$.flags")
-        subs = tuple(
-            Submodule(amb, Subspace.from_columns(
-                _parse_matrix(flags[i], fld, amb.dim, i + 1, f"$.flags[{i}]")))
-            for i in range(amb.dim))
-        factors = _parse_factor_names(obj["factors"], alg, amb.dim, "$.factors")
-        return Document(kind, fld, CompositionSeries(amb, subs, factors))
-
-    # cvector
-    factors = _parse_factor_names(obj["entries"], alg, None, "$.entries")
-    return Document(kind, fld, CompositionVectorDoc(alg, factors))
+def _parse_series(obj, alg, fld, path) -> CompositionSeries:
+    amb = _parse_rep(obj["ambient"], alg, fld, path + ".ambient")
+    flags = obj["flags"]
+    if not isinstance(flags, list) or len(flags) != amb.dim:
+        _fail(f"flags must have {amb.dim} entries", path + ".flags")
+    subs = tuple(
+        Submodule(amb, Subspace.from_columns(
+            _parse_matrix(flags[i], fld, amb.dim, i + 1, f"{path}.flags[{i}]")))
+        for i in range(amb.dim))
+    factors = _parse_factor_names(obj["factors"], alg, amb.dim, path + ".factors")
+    return CompositionSeries(amb, subs, factors)
 
 
 def _parse_factor_names(lst, alg, expected_len, path: str) -> tuple[int, ...]:
@@ -316,82 +270,104 @@ def _parse_factor_names(lst, alg, expected_len, path: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _document_payload(doc: Document) -> dict:
-    kind, fld, value = doc.kind, doc.field, doc.value
-    out = {"kind": kind, "field": _field_payload(fld)}
-    if kind == "algebra":
-        out["algebra"] = _algebra_payload(value)
-        return out
-    if kind == "representation":
-        out["algebra"] = _algebra_payload(value.algebra)
-        out.update(_rep_payload(value))
-        return out
-    if kind == "map":
-        out["algebra"] = _algebra_payload(value.source.algebra)
-        out["source"] = _rep_payload(value.source)
-        out["target"] = _rep_payload(value.target)
-        out["matrix"] = _matrix_payload(value.mat)
-        return out
-    if kind == "submodule":
-        out["algebra"] = _algebra_payload(value.ambient.algebra)
-        out["ambient"] = _rep_payload(value.ambient)
-        out["basis"] = _matrix_payload(value.space.basis)
-        return out
-    if kind == "certificate":
-        out["algebra"] = _algebra_payload(value.m.algebra)
-        out["x"] = _rep_payload(value.x)
-        out["m"] = _rep_payload(value.m)
-        out["n"] = _rep_payload(value.n)
-        out["f"] = _matrix_payload(value.f.mat)
-        out["g"] = _matrix_payload(value.g.mat)
-        out["q"] = _matrix_payload(value.q.mat)
-        return out
-    if kind == "ladder":
-        out["algebra"] = _algebra_payload(value.m_chain.stages[0].algebra)
-        out["x"] = [_rep_payload(r) for r in value.x]
-        out["h"] = [_matrix_payload(m.mat) for m in value.h]
-        out["m_stages"] = [_rep_payload(r) for r in value.m_chain.stages]
-        out["m_inc"] = [_matrix_payload(m.mat) for m in value.m_chain.inclusions]
-        out["n_stages"] = [_rep_payload(r) for r in value.n_chain.stages]
-        out["n_inc"] = [_matrix_payload(m.mat) for m in value.n_chain.inclusions]
-        out["f"] = [_matrix_payload(m.mat) for m in value.f]
-        out["g"] = [_matrix_payload(m.mat) for m in value.g]
-        out["q"] = [_matrix_payload(m.mat) for m in value.q]
-        return out
-    if kind == "series":
-        out["algebra"] = _algebra_payload(value.ambient.algebra)
-        out["ambient"] = _rep_payload(value.ambient)
-        out["flags"] = [_matrix_payload(s.space.basis) for s in value.flags]
-        out["factors"] = list(value.factor_names())
-        return out
-    if kind == "cvector":
-        out["algebra"] = _algebra_payload(value.algebra)
-        out["entries"] = list(value.names())
-        return out
-    raise ParseError(f"cannot print kind {kind!r}")
+def _encode(value):
+    """The JSON form of a payload value: a representation as its dimension
+    and matrices, a module map as its matrix."""
+    if isinstance(value, Representation):
+        return {"dim": value.dim, "mats": _encode(value.mats)}
+    if isinstance(value, ModuleMap):
+        return _encode(value.mat)
+    if isinstance(value, Matrix):
+        return [[value.field.fmt(v) for v in row] for row in value.data]
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    return value
+
+
+class _Kind(NamedTuple):
+    """How one document kind maps to a library value and back."""
+
+    type: type                # the class of the value
+    keys: tuple[str, ...]     # payload keys after kind, field and algebra
+    context: Callable         # value -> (field or None, algebra)
+    parse: Callable           # (payload, algebra, field, JSON path) -> value
+    payload: Callable         # value -> payload values in key order
+
+
+_KINDS = {
+    "algebra": _Kind(
+        AlgebraPresentation, (), lambda alg: (None, alg),
+        lambda obj, alg, fld, path: alg, lambda alg: ()),
+    "representation": _Kind(
+        Representation, ("dim", "mats"), lambda rep: (rep.field, rep.algebra),
+        _parse_rep, lambda rep: (rep.dim, rep.mats)),
+    "map": _Kind(
+        ModuleMap, ("source", "target", "matrix"),
+        lambda m: (m.source.field, m.source.algebra), _parse_map,
+        lambda m: (m.source, m.target, m)),
+    "submodule": _Kind(
+        Submodule, ("ambient", "basis"),
+        lambda sub: (sub.ambient.field, sub.ambient.algebra), _parse_submodule,
+        lambda sub: (sub.ambient, sub.space.basis)),
+    "certificate": _Kind(
+        RiedtmannCertificate, ("x", "m", "n", "f", "g", "q"),
+        lambda c: (c.m.field, c.m.algebra), _parse_certificate,
+        lambda c: (c.x, c.m, c.n, c.f, c.g, c.q)),
+    "ladder": _Kind(
+        LadderCertificate, ("x", "h", "m_stages", "m_inc", "n_stages", "n_inc",
+                            "f", "g", "q"),
+        lambda lc: (lc.m_chain.stages[0].field, lc.m_chain.stages[0].algebra),
+        _parse_ladder,
+        lambda lc: (lc.x, lc.h, lc.m_chain.stages, lc.m_chain.inclusions,
+                    lc.n_chain.stages, lc.n_chain.inclusions, lc.f, lc.g, lc.q)),
+    "series": _Kind(
+        CompositionSeries, ("ambient", "flags", "factors"),
+        lambda s: (s.ambient.field, s.ambient.algebra), _parse_series,
+        lambda s: (s.ambient, [sub.space.basis for sub in s.flags],
+                   s.factor_names())),
+    "cvector": _Kind(
+        CompositionVectorDoc, ("entries",), lambda vec: (None, vec.algebra),
+        lambda obj, alg, fld, path: CompositionVectorDoc(
+            alg, _parse_factor_names(obj["entries"], alg, None, path + ".entries")),
+        lambda vec: (vec.names(),)),
+}
+
+
+def parse_document(text: str) -> Document:
+    """Parse one JSON document; raises ParseError with position info."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
+    if not isinstance(obj, dict) or "kind" not in obj:
+        _fail('top level must be an object with a "kind"', "$")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        _fail(f"unknown kind {kind!r}", "$.kind")
+    spec = _KINDS[kind]
+    _expect_keys(obj, ("kind", "field", "algebra") + spec.keys, "$")
+    fld = _parse_field(obj["field"], "$.field")
+    alg = _parse_algebra(obj["algebra"], "$.algebra")
+    payload = {key: obj[key] for key in spec.keys}
+    return Document(kind, fld, spec.parse(payload, alg, fld, "$"))
 
 
 def format_document(doc: Document) -> str:
     """Canonical single-line rendering, newline terminated."""
-    return json.dumps(_document_payload(doc), separators=(",", ":")) + "\n"
+    spec = _KINDS[doc.kind]
+    out = {"kind": doc.kind, "field": _field_payload(doc.field),
+           "algebra": _algebra_payload(spec.context(doc.value)[1])}
+    out.update(zip(spec.keys, map(_encode, spec.payload(doc.value))))
+    return json.dumps(out, separators=(",", ":")) + "\n"
 
 
 def document_for(value, fld=None) -> Document:
-    """Wrap a library object in a Document, inferring its kind."""
-    if isinstance(value, AlgebraPresentation):
-        return Document("algebra", fld, value)
-    if isinstance(value, Representation):
-        return Document("representation", value.field, value)
-    if isinstance(value, ModuleMap):
-        return Document("map", value.source.field, value)
-    if isinstance(value, Submodule):
-        return Document("submodule", value.ambient.field, value)
-    if isinstance(value, RiedtmannCertificate):
-        return Document("certificate", value.m.field, value)
-    if isinstance(value, LadderCertificate):
-        return Document("ladder", value.m_chain.stages[0].field, value)
-    if isinstance(value, CompositionSeries):
-        return Document("series", value.ambient.field, value)
-    if isinstance(value, CompositionVectorDoc):
-        return Document("cvector", fld, value)
+    """Wrap a library object in a Document, inferring its kind; ``fld`` is
+    the field of the kinds whose value carries none (algebra, cvector)."""
+    for kind, spec in _KINDS.items():
+        if isinstance(value, spec.type):
+            fld = spec.context(value)[0] or fld
+            if fld is None:
+                raise TypeError(f"a {kind} document needs a field")
+            return Document(kind, fld, value)
     raise TypeError(f"no document kind for {type(value).__name__}")

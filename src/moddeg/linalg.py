@@ -136,9 +136,6 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 

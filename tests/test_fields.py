@@ -13,6 +13,25 @@ def test_prime_check():
         GF(6)
 
 
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_prime_check_agrees_with_trial_division():
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(-3, 20000))
+
+
+def test_prime_check_near_two_to_the_64():
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+    # strong pseudoprimes to base 2, to the bases 2..7 and to the bases 2..31:
+    # each is caught only by a later base
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    with pytest.raises(ValueError):
+        is_prime(2 ** 64)
+    assert GF(2 ** 61 - 1).inv(2) * 2 % (2 ** 61 - 1) == 1
+
+
 def test_rational_parse_and_format():
     assert QQ.parse("3/2") == Fraction(3, 2)
     assert QQ.parse("-7") == Fraction(-7)

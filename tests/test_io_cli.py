@@ -1,18 +1,21 @@
 """Document round trips, strict parsing, submodule enumeration and the
 command-line interface replayed over the shipped fixture corpus."""
 
+import argparse
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from moddeg import (direct_sum, enum_submodules, format_document,
-                    parse_document, verify_certificate, document_for)
-from moddeg.cli import main
+from moddeg import (CompositionVectorDoc, direct_sum, enum_submodules,
+                    format_document, parse_document, verify_certificate,
+                    document_for)
+from moddeg.cli import build_parser, main
 from moddeg.errors import ParseError, TooLarge
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (GOLDEN_CASES, cert_dual_eta, fixture_documents,
@@ -28,10 +31,14 @@ def data_path(name: str) -> str:
     return str(DATA / name)
 
 
-def run_cli(argv):
+def run_cli(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
 
 
@@ -93,6 +100,30 @@ def test_non_prime_field_rejected():
     payload["field"] = {"p": 6}
     with pytest.raises(ParseError):
         parse_document(json.dumps(payload))
+
+
+def test_prime_modulus_of_two_to_the_64_is_parse_error():
+    payload = json.loads(format_document(document_for(simple_module(GF(3)))))
+    payload["field"] = {"p": 2 ** 64}
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(payload))
+    assert err.value.path == "$.field"
+
+
+def test_cli_validates_over_a_61_bit_prime(tmp_path):
+    path = tmp_path / "big_prime.json"
+    path.write_text(format_document(document_for(simple_module(GF(2 ** 61 - 1)))),
+                    encoding="utf-8")
+    code, out, _ = run_cli(["validate", str(path)])
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_document_for_needs_a_field_when_the_value_has_none():
+    alg = simple_module(QQ).algebra
+    for value in (alg, CompositionVectorDoc(alg, (0,))):
+        with pytest.raises(TypeError):
+            document_for(value)
+        assert parse_document(format_document(document_for(value, QQ))).value == value
 
 
 def test_enum_submodules_examples():
@@ -183,6 +214,52 @@ def test_cli_stdin_documents():
     finally:
         sys.stdin = old
     assert code == 0
+
+
+def test_cli_reads_stdin_documents_in_argument_order():
+    m, n = "rep_kron_dtr_s1.json", "rep_kron_r_s1.json"
+    stdin = "".join((DATA / name).read_text(encoding="utf-8") for name in (m, n))
+    assert run_cli(["hom", "-", "-"], stdin) == run_cli(
+        ["hom", data_path(m), data_path(n)]) == (0, "3\n", "")
+    assert run_cli(["hom", "-", "-"], stdin.splitlines()[0])[0] == 2
+
+
+def test_cli_deform_reads_cvector_from_stdin():
+    ladder, cvec = data_path("ladder_r2_trivial.json"), data_path("cvec_r2.json")
+    from_stdin = run_cli(["deform", ladder, "--t", "0", "--cvec", "-"],
+                         (DATA / "cvec_r2.json").read_text(encoding="utf-8"))
+    assert from_stdin == run_cli(["deform", ladder, "--t", "0", "--cvec", cvec])
+    assert from_stdin[0] == 0 and from_stdin[1].count("\n") == 1
+
+
+def cli_commands() -> set:
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return set(sub.choices)
+
+
+def test_readme_lists_every_cli_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines()
+              if line.startswith("moddeg ")]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == cli_commands()
+
+
+def test_golden_cases_cover_every_cli_command():
+    assert {case["argv"][0] for case in GOLDEN_CASES} == cli_commands()
+
+
+def test_cli_non_utf8_file_is_parse_error(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].endswith(f"at {path}")
 
 
 def test_cli_error_is_structured_json():
