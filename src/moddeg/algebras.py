@@ -13,13 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      InternalInvariantViolation, NotSubmodule, Undecided)
-from .linalg import (Matrix, Subspace, block_diag, combination, hstack, image,
-                     inverse, kernel, solve_right, vstack)
+from .linalg import (Matrix, Subspace, block_diag, first_combination, hstack,
+                     image, inverse, kernel, solve_right, vstack)
 
 # A relation is a sum of terms; each term is (integer coefficient, word),
 # a word being a nonempty tuple of generator indices.  Integer coefficients
@@ -231,8 +230,8 @@ class Submodule:
         return self.space.dim
 
     def is_invariant(self) -> bool:
-        b = self.space.basis
-        return all(self.space.contains(image(m @ b)) for m in self.ambient.mats)
+        ann, b = self.space.left_annihilator(), self.space.basis
+        return all((ann @ (m @ b)).is_zero() for m in self.ambient.mats)
 
     def require_invariant(self):
         if not self.is_invariant():
@@ -371,6 +370,17 @@ def sub_representation(rep: Representation, space: Subspace):
     return sub, ModuleMap(sub, rep, b)
 
 
+def read_on_complement(rep: Representation, span: Matrix, comp: Matrix):
+    """The projection along the columns of ``span`` onto coordinates on
+    the columns of ``comp``, and every generator g read through it as
+    proj . g . comp; None when ``[span | comp]`` is singular."""
+    inv = inverse(hstack(span, comp))
+    if inv is None:
+        return None
+    proj = inv.submatrix(range(span.cols, rep.dim), range(rep.dim))
+    return proj, tuple(proj @ (m @ comp) for m in rep.mats)
+
+
 def quotient_by_subspace(rep: Representation, space: Subspace):
     """Quotient of ``rep`` by an invariant subspace.
 
@@ -380,16 +390,11 @@ def quotient_by_subspace(rep: Representation, space: Subspace):
     projection, linear but generally not a module map).
     """
     comp = space.complement_basis()
-    full = hstack(space.basis, comp)
-    inv = inverse(full)
-    if inv is None:
+    read = read_on_complement(rep, space.basis, comp)
+    if read is None:
         raise DimensionMismatch("complement basis failed to complete")
-    qdim = comp.cols
-    proj = inv.submatrix(range(space.dim, rep.dim), range(rep.dim))
-    mats = []
-    for m in rep.mats:
-        mats.append(proj @ (m @ comp))
-    quot = Representation(rep.algebra, rep.field, qdim, tuple(mats))
+    proj, mats = read
+    quot = Representation(rep.algebra, rep.field, comp.cols, mats)
     if not all((proj @ (m @ space.basis)).is_zero() for m in rep.mats):
         raise NotSubmodule("subspace is not invariant under the algebra action")
     return quot, ModuleMap(rep, quot, proj), comp
@@ -466,18 +471,14 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
     mats = [h.mat for h in basis]
     fld = m.field
     if fld.finite and k <= 8 and fld.p ** k <= 1 << 16:
-        for coeffs in product(fld.elements(), repeat=k):
-            mat = combination(coeffs, mats)
-            if _invertible(mat):
-                return ModuleMap(m, n, mat)
-        return None
+        mat = first_combination(mats, _invertible)
+        return None if mat is None else ModuleMap(m, n, mat)
     rng = random.Random(seed)
-    for trial in range(max_trials):
-        bound = 1 + trial // 8
-        coeffs = [fld.sample(rng, bound) for _ in range(k)]
-        mat = combination(coeffs, mats)
-        if _invertible(mat):
-            return ModuleMap(m, n, mat)
+    trials = ([fld.sample(rng, 1 + trial // 8) for _ in range(k)]
+              for trial in range(max_trials))
+    mat = first_combination(mats, _invertible, trials)
+    if mat is not None:
+        return ModuleMap(m, n, mat)
     raise Undecided(
         f"no invertible intertwiner found in {max_trials} trials; "
         "hom dimensions agree so non-isomorphism is not proven")

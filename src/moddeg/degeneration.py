@@ -50,6 +50,21 @@ class RiedtmannCertificate:
         """The matrix of (f; g): X -> X (+) M."""
         return vstack(self.f.mat, self.g.mat)
 
+    def restrict(self, x_inc: ModuleMap, m_inc: ModuleMap,
+                 n_inc: ModuleMap) -> "RiedtmannCertificate":
+        """The certificate on the sources of monic maps into X, M and N,
+        through which f, g and q factor: f' = x_inc^-1 f x_inc,
+        g' = m_inc^-1 g x_inc and q' = n_inc^-1 q (x_inc (+) m_inc)."""
+        b = x_inc.mat
+        f = solve_right(b, self.f.mat @ b)
+        g = solve_right(m_inc.mat, self.g.mat @ b)
+        q = solve_right(n_inc.mat, self.q.mat @ block_diag(b, m_inc.mat))
+        if f is None or g is None or q is None:
+            raise InternalInvariantViolation(
+                "certificate maps fail to factor through the inclusions")
+        return RiedtmannCertificate.build(x_inc.source, m_inc.source,
+                                          n_inc.source, f, g, q)
+
 
 def trivial_certificate(m: Representation) -> RiedtmannCertificate:
     """The certificate for M <=deg M with zero X and identity quotient."""
@@ -153,34 +168,17 @@ def push_submodule(cert: RiedtmannCertificate, mprime: Submodule) -> PushResult:
     else:
         raise InternalInvariantViolation("fixed-point iteration failed to stabilize")
 
-    xprime_space = space
-    if not xprime_space.contains(image(cert.f.mat @ xprime_space.basis)):
-        raise InternalInvariantViolation("X' is not f-invariant")
-    if not mprime.space.contains(image(cert.g.mat @ xprime_space.basis)):
-        raise InternalInvariantViolation("g(X') is not inside M'")
-
-    xp_rep, xp_inc = sub_representation(cert.x, xprime_space)
-    mp_rep, mp_inc = sub_representation(cert.m, mprime.space)
-    f_res = solve_right(xp_inc.mat, cert.f.mat @ xp_inc.mat)
-    g_res = solve_right(mp_inc.mat, cert.g.mat @ xp_inc.mat)
-    if f_res is None or g_res is None:
-        raise InternalInvariantViolation("restricted maps failed to factor")
-
-    # q restricted to X' (+) M', in ambient N coordinates.
-    emb = block_diag(xp_inc.mat, mp_inc.mat)
-    q_emb = cert.q.mat @ emb
-    expected = mprime.dim
-    if q_emb.rank() != expected:
+    # restrict() fails unless f(X') lies in X' and g(X') in M'.
+    xp_inc = sub_representation(cert.x, space)[1]
+    mp_inc = sub_representation(cert.m, mprime.space)[1]
+    # The image of X' (+) M' under q, in ambient N coordinates.
+    q_emb = cert.q.mat @ block_diag(xp_inc.mat, mp_inc.mat)
+    if q_emb.rank() != mprime.dim:
         raise InternalInvariantViolation(
             "induced inclusion of the cokernel into N is not injective")
     nprime_space = image(q_emb)
-    np_rep, np_inc = sub_representation(cert.n, nprime_space)
-    q_res = solve_right(np_inc.mat, q_emb)
-    if q_res is None:
-        raise InternalInvariantViolation("restricted quotient failed to factor")
-
-    out = RiedtmannCertificate.build(xp_rep, mp_rep, np_rep,
-                                     f_res, g_res, q_res)
+    np_inc = sub_representation(cert.n, nprime_space)[1]
+    out = cert.restrict(xp_inc, mp_inc, np_inc)
     return PushResult(Submodule(cert.n, nprime_space),
                       _verified(out, "push_submodule"))
 
@@ -280,14 +278,13 @@ def compose_certificates(c1: RiedtmannCertificate,
                  hstack(Matrix.zeros(fld, dw, dx), c2.f.mat))
     g_v = hstack(c1.g.mat, tau)
     # q(x, w, a) = q2(w, q1(x, a))
-    q2w = c2.q.mat.submatrix(range(c2.n.dim), range(dw))
-    q2b = c2.q.mat.submatrix(range(c2.n.dim), range(dw, dw + c2.m.dim))
-    inner = hstack(c1.q.mat.submatrix(range(c1.n.dim), range(dx)),
-                   Matrix.zeros(fld, c1.n.dim, dw),
-                   c1.q.mat.submatrix(range(c1.n.dim), range(dx, dx + da)))
-    wsel = hstack(Matrix.zeros(fld, dw, dx), Matrix.identity(fld, dw),
-                  Matrix.zeros(fld, dw, da))
-    q_v = (q2w @ wsel) + (q2b @ inner)
+    q1 = c1.q.mat
+    q_v = c2.q.mat @ vstack(
+        hstack(Matrix.zeros(fld, dw, dx), Matrix.identity(fld, dw),
+               Matrix.zeros(fld, dw, da)),
+        hstack(q1.submatrix(range(c1.n.dim), range(dx)),
+               Matrix.zeros(fld, c1.n.dim, dw),
+               q1.submatrix(range(c1.n.dim), range(dx, dx + da))))
     cert = RiedtmannCertificate.build(v_rep, c1.m, c2.n, f_v, g_v, q_v)
     return _verified(cert, "compose_certificates")
 
@@ -301,9 +298,12 @@ class ChainResult:
 
 
 def _split_blocks(rep: Representation, k: int):
-    """Extract the two diagonal blocks of a literal block-diagonal
-    representation, or None if any off-diagonal block is nonzero."""
+    """Extract the two diagonal blocks, of sizes k and dim - k, of a literal
+    block-diagonal representation, or None if k is out of range or any
+    off-diagonal block is nonzero."""
     d = rep.dim
+    if not 0 <= k <= d:
+        return None
     tops, bottoms = [], []
     for m in rep.mats:
         off1 = m.submatrix(range(k), range(k, d))
@@ -368,8 +368,7 @@ def virtual_chain(cert: RiedtmannCertificate, mprime: Submodule,
         n_sub = Submodule(n_rep, Subspace.from_columns(bn_next))
         y_sub = Submodule(y_rep, Subspace.from_columns(by_next))
         trace.append((n_sub, y_sub))
-        stabilized = y_sub.space == Subspace.from_columns(by)
-        if stabilized:
+        if split.yprime.dim == cur_y.dim:
             return ChainResult(n_sub, y_sub, composed, tuple(trace))
         cur_n, _ = sub_representation(cur_n, split.xprime.space)
         cur_y, _ = sub_representation(cur_y, split.yprime.space)

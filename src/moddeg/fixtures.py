@@ -302,9 +302,8 @@ def nilp3_type_modules(fld):
 
 def cert_nilp3_32(fld) -> RiedtmannCertificate:
     """Type (3) degenerates to type (2,1): regular module to Y (+) S."""
-    alg3 = truncated_polynomial_algebra(3)
     lam = regular_module(fld, 3)
-    s = make_rep(alg3, fld, [[[1]], [[0]]])
+    s = simple_module(fld, 3)
     n = direct_sum(y_module(fld), s)[0]
     M = lambda rows: Matrix.from_rows(fld, rows)
     return RiedtmannCertificate.build(
@@ -318,8 +317,7 @@ def cert_nilp3_32(fld) -> RiedtmannCertificate:
 
 def cert_nilp3_21(fld) -> RiedtmannCertificate:
     """Type (2,1) degenerates to type (1,1,1): Y (+) S to S^3."""
-    alg3 = truncated_polynomial_algebra(3)
-    s = make_rep(alg3, fld, [[[1]], [[0]]])
+    s = simple_module(fld, 3)
     m = direct_sum(y_module(fld), s)[0]
     s3 = direct_sum(direct_sum(s, s)[0], s)[0]
     M = lambda rows: Matrix.from_rows(fld, rows)
@@ -335,9 +333,8 @@ def cert_nilp3_21(fld) -> RiedtmannCertificate:
 def cert_nilp3_31(fld) -> RiedtmannCertificate:
     """Type (3) degenerates to type (1,1,1) directly, with kernel
     Y (+) S."""
-    alg3 = truncated_polynomial_algebra(3)
     lam = regular_module(fld, 3)
-    s = make_rep(alg3, fld, [[[1]], [[0]]])
+    s = simple_module(fld, 3)
     x = direct_sum(y_module(fld), s)[0]
     s3 = direct_sum(direct_sum(s, s)[0], s)[0]
     M = lambda rows: Matrix.from_rows(fld, rows)
@@ -355,8 +352,7 @@ def cert_nilp3_31(fld) -> RiedtmannCertificate:
 def ladder_nilp3_corner(fld) -> LadderCertificate:
     """The ladder taking the shift triangular form down to the corner
     form over k[X]/(X^3)."""
-    alg3 = truncated_polynomial_algebra(3)
-    s = make_rep(alg3, fld, [[[1]], [[0]]])
+    s = simple_module(fld, 3)
     y = y_module(fld)
     sy = direct_sum(s, y)[0]
     ss = direct_sum(s, s)[0]
@@ -382,12 +378,11 @@ def ladder_nilp3_corner(fld) -> LadderCertificate:
 def ladder_nilp3_shift(fld) -> LadderCertificate:
     """The ladder taking the split triangular form down to the corner
     form over k[X]/(X^3); its first column is trivial."""
-    alg3 = truncated_polynomial_algebra(3)
-    s = make_rep(alg3, fld, [[[1]], [[0]]])
+    s = simple_module(fld, 3)
     y = y_module(fld)
     sy = direct_sum(s, y)[0]
     ss = direct_sum(s, s)[0]
-    z = zero_representation(alg3, fld)
+    z = zero_representation(s.algebra, fld)
     M = lambda rows: Matrix.from_rows(fld, rows)
     Z = lambda r, c: Matrix.zeros(fld, r, c)
     m_chain = ModuleChain((s, ss, sy), (

@@ -24,12 +24,12 @@ from .errors import (BadParameter, DimensionMismatch,
                      InternalInvariantViolation, NoAdaptedBasis,
                      TriangularityViolated, VerificationFailed)
 from .algebras import (AlgebraPresentation, CheckItem, ModuleMap, Report,
-                       Representation, direct_sum, sub_representation,
+                       Representation, read_on_complement, sub_representation,
                        validate)
 from .degeneration import RiedtmannCertificate, verify_certificate
-from .linalg import (EchelonTracker, Matrix, block_diag, hstack, image,
-                     inverse, kernel, solve_right, vstack)
-from .series import (ModuleChain, TriangularRep,
+from .linalg import (EchelonTracker, Matrix, block_diag, image, kernel,
+                     solve_right, vstack)
+from .series import (ModuleChain, TriangularRep, chain_embeddings,
                      upper_triangular_hom_basis)
 
 
@@ -38,17 +38,14 @@ class LadderCertificate:
     """Columns of degeneration certificates joined by a chain map.
 
     ``m_chain`` and ``n_chain`` are the two composition-series borders;
-    ``x`` and ``h`` form the top chain; ``f[i]``, ``g[i]`` and ``q[i]``
-    assemble column i.
+    column i certifies stage i of ``m_chain`` <=deg stage i of ``n_chain``,
+    and the maps ``h`` join the columns' X slots into the top chain.
     """
 
     m_chain: ModuleChain
     n_chain: ModuleChain
-    x: tuple[Representation, ...]
+    columns: tuple[RiedtmannCertificate, ...]
     h: tuple[ModuleMap, ...]
-    f: tuple[ModuleMap, ...]
-    g: tuple[ModuleMap, ...]
-    q: tuple[ModuleMap, ...]
 
     @property
     def length(self) -> int:
@@ -56,9 +53,23 @@ class LadderCertificate:
 
     def column(self, i: int) -> RiedtmannCertificate:
         """The i-th column (0-based) as a degeneration certificate."""
-        return RiedtmannCertificate.build(
-            self.x[i], self.m_chain.stages[i], self.n_chain.stages[i],
-            self.f[i].mat, self.g[i].mat, self.q[i].mat)
+        return self.columns[i]
+
+    @property
+    def x(self) -> tuple[Representation, ...]:
+        return tuple(c.x for c in self.columns)
+
+    @property
+    def f(self) -> tuple[ModuleMap, ...]:
+        return tuple(c.f for c in self.columns)
+
+    @property
+    def g(self) -> tuple[ModuleMap, ...]:
+        return tuple(c.g for c in self.columns)
+
+    @property
+    def q(self) -> tuple[ModuleMap, ...]:
+        return tuple(c.q for c in self.columns)
 
 
 def ladder_from_columns(m_chain: ModuleChain, n_chain: ModuleChain,
@@ -67,13 +78,11 @@ def ladder_from_columns(m_chain: ModuleChain, n_chain: ModuleChain,
                         q: list[Matrix]) -> LadderCertificate:
     d = m_chain.length
     h_maps = tuple(ModuleMap(x[i], x[i + 1], h[i]) for i in range(d - 1))
-    f_maps = tuple(ModuleMap(x[i], x[i], f[i]) for i in range(d))
-    g_maps = tuple(ModuleMap(x[i], m_chain.stages[i], g[i]) for i in range(d))
-    q_maps = tuple(
-        ModuleMap(direct_sum(x[i], m_chain.stages[i])[0], n_chain.stages[i], q[i])
+    columns = tuple(
+        RiedtmannCertificate.build(x[i], m_chain.stages[i], n_chain.stages[i],
+                                   f[i], g[i], q[i])
         for i in range(d))
-    return LadderCertificate(m_chain, n_chain, tuple(x), h_maps,
-                             f_maps, g_maps, q_maps)
+    return LadderCertificate(m_chain, n_chain, columns, h_maps)
 
 
 def verify_ladder(lc: LadderCertificate) -> Report:
@@ -84,8 +93,7 @@ def verify_ladder(lc: LadderCertificate) -> Report:
              CheckItem("bottom border is a composition-series chain",
                        lc.n_chain.validate()),
              CheckItem("column count matches chain length",
-                       len(lc.x) == lc.length and len(lc.f) == lc.length
-                       and len(lc.g) == lc.length and len(lc.q) == lc.length
+                       len(lc.columns) == lc.length
                        and len(lc.h) == lc.length - 1)]
     if not items[-1].ok:
         return Report(tuple(items))
@@ -95,20 +103,21 @@ def verify_ladder(lc: LadderCertificate) -> Report:
         all(validate(r).ok for r in lc.n_chain.stages)
     items.append(CheckItem("all member representations satisfy the algebra "
                            "relations", reps_ok))
-    for i in range(d):
-        col = verify_certificate(lc.column(i))
+    cols = lc.columns
+    for i, column in enumerate(cols):
+        col = verify_certificate(column)
         items.append(CheckItem(f"column {i + 1} is a valid certificate", col.ok,
                                "" if col.ok else str(col.failures())))
     for i in range(d - 1):
         hm = lc.h[i]
         items.append(CheckItem(f"h_{i + 1} intertwines", hm.is_intertwiner()))
         mid = block_diag(hm.mat, lc.m_chain.inclusions[i].mat)
-        top_left = vstack(lc.f[i + 1].mat, lc.g[i + 1].mat) @ hm.mat
-        top_right = mid @ vstack(lc.f[i].mat, lc.g[i].mat)
+        top_left = cols[i + 1].column_map() @ hm.mat
+        top_right = mid @ cols[i].column_map()
         items.append(CheckItem(f"square {i + 1}: columns commute over h",
                                top_left == top_right))
-        bot_left = lc.n_chain.inclusions[i].mat @ lc.q[i].mat
-        bot_right = lc.q[i + 1].mat @ mid
+        bot_left = lc.n_chain.inclusions[i].mat @ cols[i].q.mat
+        bot_right = cols[i + 1].q.mat @ mid
         items.append(CheckItem(f"square {i + 1}: quotients commute over j",
                                bot_left == bot_right))
     return Report(tuple(items))
@@ -118,47 +127,29 @@ def make_monic(lc: LadderCertificate) -> LadderCertificate:
     """Replace columns until every horizontal map in the top chain is
     injective, working down from the largest offending index.
 
-    Column r is replaced by the image of the chain-complex map into column
-    r+1; exactness of the new column follows from the dimension count
-    dim(im h_r (+) M_r) = dim im h_r + dim N_r, which is asserted.  The
-    X-row dimensions weakly decrease.  The output verifies or the call
-    fails.
+    Column r is restricted to the image of the chain-complex map into
+    column r+1; exactness of the new column follows from the dimension
+    count dim(im h_r (+) M_r) = dim im h_r + dim N_r.  The X-row
+    dimensions weakly decrease.  The output verifies or the call fails.
     """
-    x = list(lc.x)
-    h = [m.mat for m in lc.h]
-    f = [m.mat for m in lc.f]
-    g = [m.mat for m in lc.g]
-    q = [m.mat for m in lc.q]
-    m_chain, n_chain = lc.m_chain, lc.n_chain
-    d = lc.length
-
+    cols, h = list(lc.columns), list(lc.h)
     while True:
-        bad = [r for r in range(d - 1) if h[r].rank() < x[r].dim]
+        bad = [r for r in range(lc.length - 1)
+               if h[r].mat.rank() < h[r].source.dim]
         if not bad:
             break
         r = bad[-1]
-        im_rep, im_inc = sub_representation(x[r + 1], image(h[r]))
-        b = im_inc.mat
-        proj = solve_right(b, h[r])
+        im_rep, im_inc = sub_representation(cols[r + 1].x, image(h[r].mat))
+        proj = solve_right(im_inc.mat, h[r].mat)
         if proj is None:
             raise InternalInvariantViolation("image factorization failed")
-        m_inc = m_chain.inclusions[r].mat
-        n_inc = n_chain.inclusions[r].mat
-        f_new = solve_right(b, f[r + 1] @ b)
-        g_new = solve_right(m_inc, g[r + 1] @ b)
-        q_new = solve_right(n_inc, q[r + 1] @ block_diag(b, m_inc))
-        if f_new is None or g_new is None or q_new is None:
-            raise InternalInvariantViolation(
-                "restricted column maps failed to factor through the borders")
-        if im_rep.dim + m_chain.stages[r].dim != im_rep.dim + n_chain.stages[r].dim:
-            raise InternalInvariantViolation("column dimension count broken")
-        x[r] = im_rep
-        f[r], g[r], q[r] = f_new, g_new, q_new
-        h[r] = b
+        cols[r] = cols[r + 1].restrict(im_inc, lc.m_chain.inclusions[r],
+                                       lc.n_chain.inclusions[r])
+        h[r] = im_inc
         if r > 0:
-            h[r - 1] = proj @ h[r - 1]
+            h[r - 1] = ModuleMap(h[r - 1].source, im_rep, proj @ h[r - 1].mat)
 
-    out = ladder_from_columns(m_chain, n_chain, x, h, f, g, q)
+    out = LadderCertificate(lc.m_chain, lc.n_chain, tuple(cols), tuple(h))
     report = verify_ladder(out)
     if not report.ok:
         raise VerificationFailed("monicized ladder failed verification",
@@ -183,25 +174,7 @@ class DeformationFamily:
 
     @property
     def ambient(self) -> Representation:
-        lc = self.ladder
-        d = lc.length
-        return direct_sum(lc.x[d - 1], lc.m_chain.stages[d - 1])[0]
-
-
-def _column_embeddings(lc: LadderCertificate) -> list[Matrix]:
-    """Embeddings of X_i (+) M_i into X_d (+) M_d along the monic rows."""
-    d = lc.length
-    fld = lc.x[0].field
-    embs = []
-    emb_x = Matrix.identity(fld, lc.x[d - 1].dim)
-    emb_m = Matrix.identity(fld, lc.m_chain.stages[d - 1].dim)
-    embs.append(block_diag(emb_x, emb_m))
-    for i in range(d - 2, -1, -1):
-        emb_x = emb_x @ lc.h[i].mat
-        emb_m = emb_m @ lc.m_chain.inclusions[i].mat
-        embs.append(block_diag(emb_x, emb_m))
-    embs.reverse()
-    return embs
+        return self.ladder.columns[-1].middle
 
 
 def build_family(lc: LadderCertificate,
@@ -220,12 +193,16 @@ def build_family(lc: LadderCertificate,
         if hm.mat.rank() < hm.source.dim:
             raise DimensionMismatch(
                 "deformation family needs injective row maps; run make_monic")
-    ambient = direct_sum(lc.x[d - 1], lc.m_chain.stages[d - 1])[0]
+    ambient = lc.columns[-1].middle
     fld = ambient.field
     if constraint is not None and len(constraint) != d:
         raise DimensionMismatch("constraint length differs from ladder length")
-    embs = _column_embeddings(lc)
-    w = image(vstack(lc.f[d - 1].mat, lc.g[d - 1].mat))
+    # Embeddings of X_i (+) M_i into X_d (+) M_d along the monic rows.
+    embs = chain_embeddings(
+        [block_diag(hm.mat, inc.mat)
+         for hm, inc in zip(lc.h, lc.m_chain.inclusions)],
+        Matrix.identity(fld, ambient.dim))
+    w = image(lc.columns[-1].column_map())
     tracker = EchelonTracker(fld, ambient.dim)
     for j in range(w.dim):
         tracker.add(w.basis.column(j))
@@ -260,23 +237,20 @@ def evaluate_family(fam: DeformationFamily, t) -> TriangularRep:
     triangular and relation-satisfying; failures of those assertions are
     bug signals, not inputs.
     """
-    lc = fam.ladder
-    d = lc.length
+    top = fam.ladder.columns[-1]
+    d = fam.ladder.length
     ambient = fam.ambient
     fld = ambient.field
     t = fld.coerce(t)
-    xd = lc.x[d - 1]
-    phi = vstack(lc.f[d - 1].mat + Matrix.identity(fld, xd.dim).scale(t),
-                 lc.g[d - 1].mat)
+    xd = top.x
+    phi = vstack(top.f.mat + Matrix.identity(fld, xd.dim).scale(t), top.g.mat)
     if phi.rank() < xd.dim:
         raise BadParameter(f"phi_t is not injective at t = {fld.fmt(t)}")
-    frame = hstack(phi, fam.basis)
-    frame_inv = inverse(frame)
-    if frame_inv is None:
+    read = read_on_complement(ambient, phi, fam.basis)
+    if read is None:
         raise BadParameter(
             f"im phi_t does not complement the basis span at t = {fld.fmt(t)}")
-    reader = frame_inv.submatrix(range(xd.dim, xd.dim + d), range(ambient.dim))
-    mats = tuple(reader @ (m @ fam.basis) for m in ambient.mats)
+    mats = read[1]
     for name, m in zip(ambient.algebra.generators, mats):
         if not m.is_upper_triangular():
             raise TriangularityViolated(

@@ -19,8 +19,9 @@ derived bases are reproducible bit for bit across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, NotContained
 
@@ -340,6 +341,21 @@ def combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
         if not first.field.is_zero(c):
             acc = acc + mat.scale(c)
     return acc
+
+
+def first_combination(mats: Sequence[Matrix], test: Callable[[Matrix], bool],
+                      points: Optional[Iterable[Sequence]] = None
+                      ) -> Optional[Matrix]:
+    """The first ``combination(coeffs, mats)`` that passes ``test``, with
+    coeffs running through ``points`` in order (by default every vector
+    over the finite field, lexicographically); None when none passes."""
+    if points is None:
+        points = product(mats[0].field.elements(), repeat=len(mats))
+    for coeffs in points:
+        acc = combination(coeffs, mats)
+        if test(acc):
+            return acc
+    return None
 
 
 class EchelonTracker:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import TooLarge
+from .errors import AlgebraMismatch, DimensionMismatch, TooLarge
 from .algebras import Representation, Submodule
 from .linalg import Matrix, Subspace
 
@@ -27,12 +27,6 @@ def enum_submodules(rep: Representation, guard: int = ENUM_GUARD) -> list[Submod
     if fld.p ** d > guard:
         raise TooLarge(f"{fld.p}^{d} exceeds the enumeration guard {guard}")
 
-    def invariant(space: Subspace) -> bool:
-        if space.dim in (0, d):
-            return True
-        ann = space.left_annihilator()
-        return all((ann @ (m @ space.basis)).is_zero() for m in rep.mats)
-
     out = [Submodule(rep, Subspace.zero(fld, d))]
     for k in range(1, d + 1):
         for pivots in combinations(range(d), k):
@@ -45,10 +39,10 @@ def enum_submodules(rep: Representation, guard: int = ENUM_GUARD) -> list[Submod
                     rows[i][p] = fld.one
                 for (i, j), v in zip(free_slots, values):
                     rows[i][j] = v
-                basis = Matrix.from_rows(fld, rows).transpose()
-                space = Subspace(fld, d, basis)
-                if invariant(space):
-                    out.append(Submodule(rep, space))
+                sub = Submodule(rep, Subspace(
+                    fld, d, Matrix.from_rows(fld, rows).transpose()))
+                if sub.is_invariant():
+                    out.append(sub)
     return out
 
 
@@ -60,7 +54,7 @@ def nilpotent_rank_profile(rep: Representation) -> tuple[int, ...]:
     """
     idx = rep.algebra.radical_indices
     if len(idx) != 1:
-        raise ValueError("rank profile needs exactly one radical generator")
+        raise AlgebraMismatch("rank profile needs exactly one radical generator")
     x = rep.mats[idx[0]]
     profile = []
     power = x
@@ -79,8 +73,12 @@ def nilpotent_degenerates(m: Representation, n: Representation) -> bool:
     """Orbit-closure test for nilpotent one-generator modules: m
     degenerates to n iff every power of n's generator has rank at most the
     corresponding power of m's."""
+    if m.algebra != n.algebra:
+        raise AlgebraMismatch("rank profiles of different algebras")
     pm = nilpotent_rank_profile(m)
     pn = nilpotent_rank_profile(n)
+    if m.dim != n.dim:
+        raise DimensionMismatch("degeneration needs equal dimensions")
     length = max(len(pm), len(pn))
     pm = pm + (0,) * (length - len(pm))
     pn = pn + (0,) * (length - len(pn))

@@ -11,17 +11,16 @@ derived basis is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (DimensionMismatch, FieldTooSmall,
-                     InternalInvariantViolation,
+                     InternalInvariantViolation, NotSubmodule,
                      SimpleNotOneDimensional, TriangularityViolated,
                      VectorMismatch, VerificationFailed)
 from .algebras import (ModuleMap, Representation, Submodule, conjugate,
                        intertwiner_basis, quotient_by_subspace,
                        sub_representation)
-from .linalg import (Matrix, Subspace, combination, image, kernel,
+from .linalg import (Matrix, Subspace, first_combination, image, kernel,
                      solve_right, vstack)
 
 
@@ -129,16 +128,16 @@ class ModuleChain:
                 return False
         return True
 
-    def flag_spaces(self) -> list[Subspace]:
-        """The stage images inside the top stage's carrier space."""
-        d = self.length
-        spaces = [Subspace.full(self.stages[-1].field, d)]
-        emb = Matrix.identity(self.stages[-1].field, d)
-        for i in range(d - 2, -1, -1):
-            emb = emb @ self.inclusions[i].mat
-            spaces.append(Subspace.from_columns(emb))
-        spaces.reverse()
-        return spaces
+
+def chain_embeddings(maps: Sequence[Matrix], top: Matrix) -> list[Matrix]:
+    """Embeddings of every stage of a chain with stage maps ``maps[i]``
+    (stage i -> stage i+1) along the embedding ``top`` of its last stage:
+    stage i embeds as top . maps[-1] ... maps[i]."""
+    embs = [top]
+    for mat in reversed(maps):
+        embs.append(embs[-1] @ mat)
+    embs.reverse()
+    return embs
 
 
 def series_chain(series: CompositionSeries) -> ModuleChain:
@@ -191,22 +190,27 @@ class TriangularRep:
                            tuple(self.stage_inclusion(i) for i in range(1, d)))
 
 
-def triangularize_flags(rep: Representation,
-                        flags: list[Subspace]) -> tuple[TriangularRep, Matrix]:
-    """Change of basis adapted to an ascending flag of invariant subspaces.
-
-    The i-th basis vector extends the previous ones inside flag i via the
-    deterministic complement, so the output representation is triangular
-    and conjugate to the input.  Returns the representation and the basis.
-    """
+def flag_basis(rep: Representation, flags: list[Subspace]) -> Matrix:
+    """The basis adapted to an ascending flag of subspaces: the columns
+    added at step i extend the previous flag inside flag i via the
+    deterministic complement."""
     fld = rep.field
     cols = []
     prev = Subspace.zero(fld, rep.dim)
     for flag in flags:
-        ext = prev.complement_basis(within=flag)
-        cols.extend(ext.columns())
+        cols.extend(prev.complement_basis(within=flag).columns())
         prev = flag
-    basis = Matrix.from_columns(fld, cols, rows=rep.dim)
+    return Matrix.from_columns(fld, cols, rows=rep.dim)
+
+
+def triangularize_flags(rep: Representation,
+                        flags: list[Subspace]) -> tuple[TriangularRep, Matrix]:
+    """Change of basis adapted to an ascending flag of invariant subspaces.
+
+    The output representation is triangular in the ``flag_basis`` and
+    conjugate to the input.  Returns the representation and the basis.
+    """
+    basis = flag_basis(rep, flags)
     return TriangularRep(conjugate(rep, basis)), basis
 
 
@@ -219,7 +223,10 @@ def series_to_triangular(series: CompositionSeries) -> TriangularRep:
 def chain_to_triangular(chain: ModuleChain) -> TriangularRep:
     """Realize an abstract chain as a triangular representation of its top
     stage, using the composed inclusion images as flags."""
-    return triangularize_flags(chain.stages[-1], chain.flag_spaces())[0]
+    top = Matrix.identity(chain.stages[-1].field, chain.length)
+    embs = chain_embeddings([inc.mat for inc in chain.inclusions], top)
+    return triangularize_flags(
+        chain.stages[-1], [Subspace.from_columns(e) for e in embs])[0]
 
 
 def triangular_to_series(tri: TriangularRep) -> CompositionSeries:
@@ -283,30 +290,29 @@ def simultaneous_triangularize(m: Representation, n: Representation,
     """Common triangular form for two modules with matching composition
     vectors: both outputs have the same (prescribed) idempotent images.
 
-    Inductive construction: extend the adapted basis one flag step at a
-    time, replacing each new vector v by e.v for the idempotent e naming
-    the step's factor.  Raises VectorMismatch when the composition vectors
-    differ, in which case no common triangularization on these series
-    exists.
+    Column i of the series' ``flag_basis`` is replaced by e.v for the
+    idempotent e naming the factor of step i; e.v and v agree modulo the
+    previous flag, so the result is again adapted.  Raises NotSubmodule
+    when a series belongs to another module, and VectorMismatch when the
+    composition vectors differ, in which case no common triangularization
+    on these series exists.
     """
+    if sm.ambient != m or sn.ambient != n:
+        raise NotSubmodule("a series does not belong to its module")
     if composition_vector(sm) != composition_vector(sn):
         raise VectorMismatch(
             f"composition vectors differ: {sm.factor_names()} vs {sn.factor_names()}")
 
     def adapted(rep: Representation, series: CompositionSeries) -> Matrix:
-        fld = rep.field
-        cols = []
-        prev = Subspace.zero(fld, rep.dim)
-        for sub, pos in zip(series.flags, series.factors):
-            e_mat = rep.mats[rep.algebra.idempotent_indices[pos]]
-            raw = prev.complement_basis(within=sub.space).column_matrix(0)
-            vec = e_mat @ raw
-            cols.append(vec.column(0))
-            prev = prev.sum(Subspace.from_columns(vec))
-            if prev.dim != len(cols):
-                raise InternalInvariantViolation(
-                    "idempotent image fell into the previous flag")
-        return Matrix.from_columns(fld, cols, rows=rep.dim)
+        raw = flag_basis(rep, [sub.space for sub in series.flags])
+        idem = rep.algebra.idempotent_indices
+        basis = Matrix.from_columns(rep.field, [
+            (rep.mats[idem[pos]] @ raw.column_matrix(i)).column(0)
+            for i, pos in enumerate(series.factors)], rows=rep.dim)
+        if basis.rank() != rep.dim:
+            raise InternalInvariantViolation(
+                "idempotent image fell into the previous flag")
+        return basis
 
     tm = TriangularRep(conjugate(m, adapted(m, sm)))
     tn = TriangularRep(conjugate(n, adapted(n, sn)))
@@ -351,37 +357,33 @@ def series_isomorphic(a: TriangularRep, b: TriangularRep,
     if any(all(fld.is_zero(c) for c in row) for row in functionals):
         return None
 
-    def witness_from(coeffs) -> Optional[ModuleMap]:
-        acc = combination(coeffs, basis)
-        if any(fld.is_zero(acc.entry(j, j)) for j in range(d)):
-            return None
-        out = ModuleMap(a.rep, b.rep, acc)
-        if not out.is_intertwiner() or not acc.is_upper_triangular():
-            raise InternalInvariantViolation("witness fails its own checks")
-        return out
+    def invertible(acc: Matrix) -> bool:
+        return not any(fld.is_zero(acc.entry(j, j)) for j in range(d))
+
+    def moment_curve(t: int) -> list:
+        coeffs, tval = [fld.one], fld.coerce(t)
+        for _ in range(k - 1):
+            coeffs.append(fld.mul(coeffs[-1], tval))
+        return coeffs
 
     # The product of the d diagonal functionals evaluated on the moment
     # curve (1, t, .., t^{k-1}) is a nonzero polynomial of degree at most
     # d*(k-1), so scanning d*(k-1)+1 distinct scalars must succeed.
     degree = d * (k - 1)
     if not fld.finite or fld.p > degree:
-        scan = range(degree + 2) if not fld.finite else range(fld.p)
-        for t in scan:
-            tval = fld.coerce(t)
-            coeffs, power = [], fld.one
-            for _ in range(k):
-                coeffs.append(power)
-                power = fld.mul(power, tval)
-            w = witness_from(coeffs)
-            if w is not None:
-                return w
-        raise InternalInvariantViolation("Vandermonde scan failed unexpectedly")
-    if fld.p ** k <= exhaustive_limit:
-        for coeffs in product(fld.elements(), repeat=k):
-            w = witness_from(coeffs)
-            if w is not None:
-                return w
-        return None
-    raise FieldTooSmall(
-        f"field with {fld.p} elements is too small for dimension {d} and "
-        f"exhaustive search over {fld.p}^{k} combinations is disabled")
+        acc = first_combination(basis, invertible,
+                                map(moment_curve, range(degree + 1)))
+        if acc is None:
+            raise InternalInvariantViolation("Vandermonde scan failed unexpectedly")
+    elif fld.p ** k <= exhaustive_limit:
+        acc = first_combination(basis, invertible)
+        if acc is None:
+            return None
+    else:
+        raise FieldTooSmall(
+            f"field with {fld.p} elements is too small for dimension {d} and "
+            f"exhaustive search over {fld.p}^{k} combinations is disabled")
+    out = ModuleMap(a.rep, b.rep, acc)
+    if not out.is_intertwiner() or not acc.is_upper_triangular():
+        raise InternalInvariantViolation("witness fails its own checks")
+    return out

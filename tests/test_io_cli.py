@@ -15,7 +15,7 @@ import pytest
 from moddeg import (CompositionVectorDoc, direct_sum, enum_submodules,
                     format_document, parse_document, verify_certificate,
                     document_for)
-from moddeg.cli import build_parser, main
+from moddeg.cli import COMMANDS, build_parser, main
 from moddeg.errors import ParseError, TooLarge
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (GOLDEN_CASES, cert_dual_eta, fixture_documents,
@@ -393,3 +393,78 @@ def test_mutated_shipped_documents_parse_or_raise_parse_error():
         except Exception as err:   # anything else would be a traceback, exit 1
             escaped.append(f"{type(err).__name__}: {err} on {text[:120]}")
     assert not escaped, escaped[:3]
+
+
+@pytest.mark.parametrize("cert", ["cert_nilp3_21.json", "cert_nilp3_32.json"])
+def test_cli_vchain_refuses_a_submodule_larger_than_the_m_slot(cert):
+    code, out, err = run_cli(["vchain", data_path(cert),
+                              data_path("sub_dual_lambda_s.json")])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "AlgebraMismatch"
+
+
+@pytest.mark.parametrize("m, n, error", [
+    ("rep_r2_mu.json", "rep_kron_dtr_s1.json", "AlgebraMismatch"),
+    ("rep_r2_mu.json", "rep_r2_nu.json", "AlgebraMismatch"),
+    ("rep_nilp3_type3.json", "rep_dual_lambda2.json", "AlgebraMismatch"),
+    ("rep_dual_lambda2.json", "rep_nilp3_type3.json", "AlgebraMismatch"),
+    ("rep_dual_lambda.json", "rep_dual_lambda2.json", "DimensionMismatch"),
+])
+def test_cli_oracle_nilp_refuses_incomparable_modules(m, n, error):
+    code, out, err = run_cli(["oracle-nilp", data_path(m), data_path(n)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("files", [
+    ("rep_kron_s1_s2.json", "rep_nilp3_nu.json",
+     "series_bidir_m.json", "series_bidir_m.json"),
+    ("rep_dual_lambda_s2.json", "rep_dual_lambda_s2.json",
+     "series_dual_lambda2.json", "series_dual_lambda2.json"),
+    ("rep_dual_lambda2.json", "rep_dual_lambda_s2.json",
+     "series_dual_lambda2.json", "series_dual_lambda2.json"),
+])
+def test_cli_sim_tri_refuses_series_of_other_modules(files):
+    code, out, err = run_cli(["sim-tri", *map(data_path, files)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "NotSubmodule"
+
+
+# Values for the options that take a plain value rather than a document.
+SWEEP_VALUES = {"--t": "0,1"}
+
+
+def test_cli_sweep_over_shipped_documents():
+    """Every command on seeded draws of shipped documents of the kinds it
+    accepts: the exit code is 0, 1 or 2, nothing escapes ``main``, and an
+    exit 2 ends with a JSON error line on stderr."""
+    by_kind = {}
+    for path in sorted(DATA.iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".json") and path.name != "golden.json":
+            kind = json.loads(path.read_text(encoding="utf-8"))["kind"]
+            by_kind.setdefault(kind, []).append(str(path))
+    rng = random.Random(2014)
+    bad = []
+    for _ in range(20):
+        for name, command in COMMANDS.items():
+            argv = [name]
+            for arg, kinds, options in command.args:
+                pool = [p for kind in kinds for p in by_kind.get(kind, [])]
+                if not arg.startswith("--"):
+                    count = rng.randint(1, 3) if options.get("nargs") == "+" else 1
+                    argv += [rng.choice(pool) for _ in range(count)]
+                elif kinds or options.get("action") == "store_true":
+                    if rng.random() < 0.5:
+                        argv += [arg, rng.choice(pool)] if kinds else [arg]
+                else:
+                    argv += [arg, SWEEP_VALUES[arg]]
+            try:
+                code, _, err = run_cli(argv)
+            except Exception as exc:   # a traceback in the shell
+                bad.append(f"{argv}: {type(exc).__name__}: {exc}")
+                continue
+            if code not in (0, 1, 2):
+                bad.append(f"{argv}: exit {code}")
+            elif code == 2 and "error" not in json.loads(err.splitlines()[-1]):
+                bad.append(f"{argv}: no JSON error on stderr")
+    assert bad == []

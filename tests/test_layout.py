@@ -19,3 +19,24 @@ def test_no_imports_inside_functions():
                           for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_every_module_level_import_is_used():
+    """Names bound by a module-level import must be read somewhere in the
+    module (the package ``__init__`` re-exports, so it is exempt)."""
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} imports unused {name}"
+                  for name, line in imported.items()
+                  if name not in used and name != "annotations"]
+    assert found == []

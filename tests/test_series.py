@@ -2,6 +2,7 @@
 series-level isomorphism."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -10,11 +11,11 @@ from moddeg import (Matrix, Submodule, Subspace, composition_series,
                     series_chain, series_isomorphic, series_to_triangular,
                     simultaneous_triangularize, socle,
                     tc_idempotent_matrices, tc_membership,
-                    triangular_to_series)
+                    triangular_to_series, validate)
 from moddeg.errors import VectorMismatch
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (bidir_m, bidir_n, kron_i2, kron_r2_mu,
-                             make_rep, mu_corner_triangular,
+                             kronecker_algebra, make_rep, mu_corner_triangular,
                              nu_prime_triangular, nu_shift_triangular,
                              regular_module, simple_module,
                              truncated_polynomial_algebra, y_module)
@@ -255,3 +256,80 @@ def test_upper_triangular_invertibility_criterion():
         invertible = m.rank() == d
         diag_nonzero = all(m.entry(i, i) != 0 for i in range(d))
         assert invertible == diag_nonzero
+
+
+def _upper_group(p: int, d: int):
+    """Every invertible upper-triangular d x d matrix over GF(p) with its
+    inverse, as plain integer rows."""
+    slots = [(i, j) for i in range(d) for j in range(i, d)]
+    for values in product(range(p), repeat=len(slots)):
+        g = [[0] * d for _ in range(d)]
+        for (i, j), v in zip(slots, values):
+            g[i][j] = v
+        if all(g[i][i] for i in range(d)):
+            inv = [[0] * d for _ in range(d)]
+            for j in range(d):          # back substitution, column by column
+                for i in range(j, -1, -1):
+                    acc = (1 if i == j else 0) - sum(
+                        g[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+                    inv[i][j] = acc * pow(g[i][i], -1, p) % p
+            yield g, inv
+
+
+def _mul(a, b, p):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
+                       for col in zip(*b)) for row in a)
+
+
+def _triangular_reps(alg, p: int, d: int):
+    """Every triangular representation of dimension d over GF(p) of
+    k[X]/(X^n) (X strictly upper triangular with X^n = 0) or of the
+    Kronecker algebra (diagonal idempotents, arrows from vertex 1 to 2)."""
+    fld = GF(p)
+    kronecker = alg.generators == ("e1", "e2", "a", "b")
+    vertex_lists = product((0, 1), repeat=d) if kronecker else [(0,) * d]
+    for vertices in vertex_lists:
+        slots = [(i, j) for i in range(d) for j in range(i + 1, d)
+                 if not kronecker or (vertices[i], vertices[j]) == (1, 0)]
+        arrows = 2 if kronecker else 1
+        for values in product(range(p), repeat=arrows * len(slots)):
+            mats = []
+            for k in range(arrows):
+                m = [[0] * d for _ in range(d)]
+                for (i, j), v in zip(slots, values[k * len(slots):]):
+                    m[i][j] = v
+                mats.append(m)
+            if kronecker:
+                idem = [[[int(i == j and vertices[i] == v) for j in range(d)]
+                         for i in range(d)] for v in (0, 1)]
+            else:
+                idem = [[[int(i == j) for j in range(d)] for i in range(d)]]
+            rep = make_rep(alg, fld, idem + mats)
+            if validate(rep).ok:
+                yield rep
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_series_isomorphic_against_the_triangular_group(p):
+    """series_isomorphic agrees with the orbits of the invertible
+    upper-triangular group acting by conjugation, and every witness is an
+    invertible upper-triangular intertwiner."""
+    cases = [(truncated_polynomial_algebra(n), d) for n in (2, 3)
+             for d in (1, 2, 3)]
+    cases += [(kronecker_algebra(), d) for d in ((1, 2, 3) if p == 2 else (1, 2))]
+    for alg, d in cases:
+        group = list(_upper_group(p, d))
+        reps = list(_triangular_reps(alg, p, d))
+        plain = [tuple(tuple(map(tuple, m.data)) for m in rep.mats)
+                 for rep in reps]
+        orbits = [{tuple(_mul(_mul(g, m, p), inv, p) for m in mats)
+                   for g, inv in group} for mats in plain]
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
+                w = series_isomorphic(TriangularRep(a), TriangularRep(b))
+                assert (w is not None) == (plain[j] in orbits[i]), (alg.name, d, i, j)
+                if w is not None:
+                    h = w.mat
+                    assert h.is_upper_triangular()
+                    assert all(not GF(p).is_zero(h.entry(k, k)) for k in range(d))
+                    assert all(h @ x == y @ h for x, y in zip(a.mats, b.mats))
