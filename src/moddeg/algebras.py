@@ -205,6 +205,16 @@ class ModuleMap:
         return all((self.mat @ a) == (b @ self.mat)
                    for a, b in zip(self.source.mats, self.target.mats))
 
+    def factor(self, mat: Matrix) -> Matrix:
+        """The X with ``self.mat @ X = mat``, for a monic map: ``mat``
+        factored through this inclusion.  Raises InternalInvariantViolation
+        when ``mat`` does not factor."""
+        x = solve_right(self.mat, mat)
+        if x is None:
+            raise InternalInvariantViolation(
+                "map fails to factor through the inclusion")
+        return x
+
     @classmethod
     def identity(cls, rep: Representation) -> "ModuleMap":
         return cls(rep, rep, Matrix.identity(rep.field, rep.dim))
@@ -419,7 +429,6 @@ def cokernel_module(f: ModuleMap):
 def quotient_module(rep: Representation, sub: Submodule):
     if sub.ambient != rep:
         raise NotSubmodule("submodule belongs to a different representation")
-    sub.require_invariant()
     quot, proj, _ = quotient_by_subspace(rep, sub.space)
     return quot, proj
 

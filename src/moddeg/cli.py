@@ -79,16 +79,6 @@ def _emit(result, fld) -> int:
     return code
 
 
-def _push_sub(cert, submodule):
-    result = push_submodule(cert, submodule)
-    return result.nprime, result.cert
-
-
-def _split_sub(x, y, submodule):
-    result = split_submodule(x, y, submodule)
-    return result.xprime, result.yprime, result.cert
-
-
 def _vchain(cert, submodule):
     result = virtual_chain(cert, submodule)
     dims = [[n.dim, y.dim] for n, y in result.trace]
@@ -147,10 +137,10 @@ COMMANDS = {
     "check-cert": Command("verify a degeneration certificate", (CERT,),
                           verify_certificate),
     "push-sub": Command("transport a submodule along a certificate",
-                        (CERT, SUB), _push_sub),
+                        (CERT, SUB), push_submodule),
     "split-sub": Command(
         "degenerate a submodule of a direct sum into factor parts",
-        (_arg("x", REP), _arg("y", REP), SUB), _split_sub),
+        (_arg("x", REP), _arg("y", REP), SUB), split_submodule),
     "compose": Command("compose two certificates",
                        (_arg("c1", "certificate"), _arg("c2", "certificate")),
                        compose_certificates),

@@ -13,6 +13,7 @@ verification is pure linear algebra with no basis-choice coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (AlgebraMismatch, DimensionMismatch,
                      InternalInvariantViolation, NoLift, NotSubmodule,
@@ -56,14 +57,10 @@ class RiedtmannCertificate:
         through which f, g and q factor: f' = x_inc^-1 f x_inc,
         g' = m_inc^-1 g x_inc and q' = n_inc^-1 q (x_inc (+) m_inc)."""
         b = x_inc.mat
-        f = solve_right(b, self.f.mat @ b)
-        g = solve_right(m_inc.mat, self.g.mat @ b)
-        q = solve_right(n_inc.mat, self.q.mat @ block_diag(b, m_inc.mat))
-        if f is None or g is None or q is None:
-            raise InternalInvariantViolation(
-                "certificate maps fail to factor through the inclusions")
-        return RiedtmannCertificate.build(x_inc.source, m_inc.source,
-                                          n_inc.source, f, g, q)
+        return RiedtmannCertificate.build(
+            x_inc.source, m_inc.source, n_inc.source,
+            x_inc.factor(self.f.mat @ b), m_inc.factor(self.g.mat @ b),
+            n_inc.factor(self.q.mat @ block_diag(b, m_inc.mat)))
 
 
 def trivial_certificate(m: Representation) -> RiedtmannCertificate:
@@ -139,8 +136,7 @@ def _verified(cert: RiedtmannCertificate, context: str) -> RiedtmannCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class PushResult:
+class PushResult(NamedTuple):
     nprime: Submodule
     cert: RiedtmannCertificate
 
@@ -158,7 +154,6 @@ def push_submodule(cert: RiedtmannCertificate, mprime: Submodule) -> PushResult:
     """
     if mprime.ambient != cert.m:
         raise NotSubmodule("submodule does not live in the certificate's M")
-    mprime.require_invariant()
     space = preimage(cert.g.mat, mprime.space)
     for _ in range(cert.x.dim + 1):
         refined = space.intersect(preimage(cert.f.mat, space))
@@ -183,8 +178,7 @@ def push_submodule(cert: RiedtmannCertificate, mprime: Submodule) -> PushResult:
                       _verified(out, "push_submodule"))
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     xprime: Submodule
     yprime: Submodule
     cert: RiedtmannCertificate
@@ -203,7 +197,6 @@ def split_submodule(x: Representation, y: Representation,
     ambient, *_ = direct_sum(x, y)
     if sub.ambient != ambient:
         raise NotSubmodule("submodule does not live in the stated direct sum")
-    sub.require_invariant()
     fld = ambient.field
     m_rep, m_inc = sub_representation(ambient, sub.space)
     pi_mat = m_inc.mat.submatrix(range(x.dim), range(sub.dim))  # p o i
@@ -221,10 +214,8 @@ def split_submodule(x: Representation, y: Representation,
     yprime_space = image(y_part)
     yp_rep, yp_inc = sub_representation(y, yprime_space)
 
-    pi_res = solve_right(xp_inc.mat, pi_mat)          # M -> X' coordinates
-    kappa = solve_right(yp_inc.mat, y_part)           # K -> Y' coordinates
-    if pi_res is None or kappa is None:
-        raise InternalInvariantViolation("split maps failed to factor")
+    pi_res = xp_inc.factor(pi_mat)      # M -> X' coordinates
+    kappa = yp_inc.factor(y_part)       # K -> Y' coordinates
 
     n_rep = direct_sum(xp_rep, yp_rep)[0]
     q_mat = vstack(
@@ -356,8 +347,7 @@ def virtual_chain(cert: RiedtmannCertificate, mprime: Submodule,
         sub_space = Subspace.from_columns(block_diag(mp_local.basis, y_local.basis))
         sub = Submodule(cur_cert.m, sub_space)
         pushed = push_submodule(cur_cert, sub)
-        split = split_submodule(cur_n, cur_y, Submodule(
-            direct_sum(cur_n, cur_y)[0], pushed.nprime.space))
+        split = split_submodule(cur_n, cur_y, pushed.nprime)
         try:
             composed = compose_certificates(pushed.cert, split.cert)
         except NoLift as err:
@@ -370,8 +360,7 @@ def virtual_chain(cert: RiedtmannCertificate, mprime: Submodule,
         trace.append((n_sub, y_sub))
         if split.yprime.dim == cur_y.dim:
             return ChainResult(n_sub, y_sub, composed, tuple(trace))
-        cur_n, _ = sub_representation(cur_n, split.xprime.space)
-        cur_y, _ = sub_representation(cur_y, split.yprime.space)
+        cur_n, cur_y = _split_blocks(split.cert.n, split.xprime.dim)
         # Later rounds work inside the materialized M' (+) Y_i, where the
         # M' block is full by construction.
         mp_local = Subspace.full(fld, mprime.dim)

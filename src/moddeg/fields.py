@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
+INT_RE = re.compile(r"^[+-]?\d+$")
 _FRAC_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -153,7 +153,7 @@ class PrimeField:
         return a % self.p == 0
 
     def parse(self, text: str) -> int:
-        if not _INT_RE.match(text):
+        if not INT_RE.match(text):
             raise ValueError(f"not a residue: {text!r}")
         return int(text) % self.p
 

@@ -63,15 +63,12 @@ def make_rep(alg: AlgebraPresentation, fld, mats) -> Representation:
 # -- modules over k[X]/(X^n) ------------------------------------------
 
 def simple_module(fld, n: int = 2) -> Representation:
-    return make_rep(truncated_polynomial_algebra(n), fld, [[[1]], [[0]]])
+    return jordan_module(fld, n, (1,))
 
 
 def regular_module(fld, n: int) -> Representation:
     """k[X]/(X^n) over itself, basis 1, X, .., X^{n-1}."""
-    alg = truncated_polynomial_algebra(n)
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    shift = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
-    return make_rep(alg, fld, [ident, shift])
+    return jordan_module(fld, n, (n,))
 
 
 def y_module(fld) -> Representation:

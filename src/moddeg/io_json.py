@@ -11,20 +11,17 @@ on canonical forms.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ParseError
-from .fields import GF, QQ
+from .fields import GF, INT_RE, QQ
 from .algebras import (AlgebraPresentation, ModuleMap, Representation,
                        Submodule)
 from .degeneration import RiedtmannCertificate
 from .linalg import Matrix, Subspace
 from .series import CompositionSeries, ModuleChain
 from .ladders import LadderCertificate, ladder_from_columns
-
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ def _parse_algebra(obj, path: str) -> AlgebraPresentation:
                     or not isinstance(term[0], str)
                     or not isinstance(term[1], list) or not term[1]):
                 _fail("a term is [coefficient, [generator, ..]]", f"{rpath}[{j}]")
-            if not _INT_RE.match(term[0]):
+            if not INT_RE.match(term[0]):
                 _fail(f"integer coefficient expected, got {term[0]!r}", f"{rpath}[{j}]")
             word = []
             for g in term[1]:
@@ -246,16 +243,34 @@ def _parse_ladder(obj, alg, fld, path) -> LadderCertificate:
 
 
 def _parse_series(obj, alg, fld, path) -> CompositionSeries:
+    """A composition series, checked: flag i is an invariant subspace of
+    dimension i + 1 that contains flag i - 1, and factor i names the
+    idempotent e with (e - 1) flag i inside flag i - 1."""
     amb = _parse_rep(obj["ambient"], alg, fld, path + ".ambient")
     flags = obj["flags"]
     if not isinstance(flags, list) or len(flags) != amb.dim:
         _fail(f"flags must have {amb.dim} entries", path + ".flags")
-    subs = tuple(
-        Submodule(amb, Subspace.from_columns(
-            _parse_matrix(flags[i], fld, amb.dim, i + 1, f"{path}.flags[{i}]")))
-        for i in range(amb.dim))
+    one = Matrix.identity(fld, amb.dim)
+    subs, anns = [], [one]          # anns[i] annihilates flag i - 1
+    for i in range(amb.dim):
+        fpath = f"{path}.flags[{i}]"
+        sub = Submodule(amb, Subspace.from_columns(
+            _parse_matrix(flags[i], fld, amb.dim, i + 1, fpath)))
+        if sub.dim != i + 1:
+            _fail(f"flag has dimension {sub.dim}, not {i + 1}", fpath)
+        anns.append(sub.space.left_annihilator())
+        if subs and not (anns[-1] @ subs[-1].space.basis).is_zero():
+            _fail("flag does not contain the previous flag", fpath)
+        if not sub.is_invariant():
+            _fail("flag is not invariant under the algebra action", fpath)
+        subs.append(sub)
     factors = _parse_factor_names(obj["factors"], alg, amb.dim, path + ".factors")
-    return CompositionSeries(amb, subs, factors)
+    for i, (sub, pos) in enumerate(zip(subs, factors)):
+        shift = amb.mats[alg.idempotent_indices[pos]] - one
+        if not (anns[i] @ (shift @ sub.space.basis)).is_zero():
+            _fail(f"{alg.idempotents[pos]!r} does not act as the identity on "
+                  "the flag modulo the previous flag", f"{path}.factors[{i}]")
+    return CompositionSeries(amb, tuple(subs), factors)
 
 
 def _parse_factor_names(lst, alg, expected_len, path: str) -> tuple[int, ...]:

@@ -27,8 +27,7 @@ from .algebras import (AlgebraPresentation, CheckItem, ModuleMap, Report,
                        Representation, read_on_complement, sub_representation,
                        validate)
 from .degeneration import RiedtmannCertificate, verify_certificate
-from .linalg import (EchelonTracker, Matrix, block_diag, image, kernel,
-                     solve_right, vstack)
+from .linalg import EchelonTracker, Matrix, block_diag, image, kernel, vstack
 from .series import (ModuleChain, TriangularRep, chain_embeddings,
                      upper_triangular_hom_basis)
 
@@ -140,9 +139,7 @@ def make_monic(lc: LadderCertificate) -> LadderCertificate:
             break
         r = bad[-1]
         im_rep, im_inc = sub_representation(cols[r + 1].x, image(h[r].mat))
-        proj = solve_right(im_inc.mat, h[r].mat)
-        if proj is None:
-            raise InternalInvariantViolation("image factorization failed")
+        proj = im_inc.factor(h[r].mat)
         cols[r] = cols[r + 1].restrict(im_inc, lc.m_chain.inclusions[r],
                                        lc.n_chain.inclusions[r])
         h[r] = im_inc
@@ -332,10 +329,12 @@ def psi_embed(tri: TriangularRep) -> Representation:
     stage inclusion M_{d-i} -> M_{d+1-i} placed between those components.
     With this placement the images satisfy all matrix-unit identities and
     commute with the lifts, which the stage truncation property makes
-    exact.
+    exact.  Raises DimensionMismatch when d = 0, which has no stages.
     """
     rep = tri.rep
     d = rep.dim
+    if d == 0:
+        raise DimensionMismatch("psi needs a representation of positive dimension")
     fld = rep.field
     alg = upper_triangular_algebra(rep.algebra, d)
     a = d * (d + 1) // 2

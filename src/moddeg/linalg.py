@@ -495,12 +495,11 @@ class Subspace:
         need = within.dim - self.dim
         chosen = []
         if need > 0:
-            within_ann = within.left_annihilator()
-            candidates = []
-            for i in range(self.ambient_dim):
-                unit = Matrix.unit_vector(self.field, self.ambient_dim, i)
-                if within.is_full() or (within_ann @ unit).is_zero():
-                    candidates.append(unit.column(0))
+            # e_i lies in ``within`` iff column i of its annihilator is zero.
+            fld, n = self.field, self.ambient_dim
+            ann = within.left_annihilator()
+            candidates = [[fld.one if j == i else fld.zero for j in range(n)]
+                          for i in range(n) if all(map(fld.is_zero, ann.column(i)))]
             candidates.extend(within.basis.column(j) for j in range(within.dim))
             for cand in candidates:
                 if tracker.add(cand):

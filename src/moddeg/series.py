@@ -21,7 +21,7 @@ from .algebras import (ModuleMap, Representation, Submodule, conjugate,
                        intertwiner_basis, quotient_by_subspace,
                        sub_representation)
 from .linalg import (Matrix, Subspace, first_combination, image, kernel,
-                     solve_right, vstack)
+                     vstack)
 
 
 def socle(rep: Representation) -> Submodule:
@@ -148,10 +148,7 @@ def series_chain(series: CompositionSeries) -> ModuleChain:
     for sub in series.flags:
         stage, inc = sub_representation(series.ambient, sub.space)
         if prev is not None:
-            local = solve_right(inc.mat, prev[1].mat)
-            if local is None:
-                raise InternalInvariantViolation("flag steps fail to nest")
-            incs.append(ModuleMap(prev[0], stage, local))
+            incs.append(ModuleMap(prev[0], stage, inc.factor(prev[1].mat)))
         stages.append(stage)
         prev = (stage, inc)
     return ModuleChain(tuple(stages), tuple(incs))
@@ -350,8 +347,6 @@ def series_isomorphic(a: TriangularRep, b: TriangularRep,
     fld = a.rep.field
     if d == 0:
         return ModuleMap(a.rep, b.rep, Matrix.zeros(fld, 0, 0))
-    if not basis:
-        return None
     k = len(basis)
     functionals = [[h.entry(j, j) for h in basis] for j in range(d)]
     if any(all(fld.is_zero(c) for c in row) for row in functionals):

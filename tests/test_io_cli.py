@@ -19,7 +19,8 @@ from moddeg.cli import COMMANDS, build_parser, main
 from moddeg.errors import ParseError, TooLarge
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (GOLDEN_CASES, cert_dual_eta, fixture_documents,
-                             kron_i2, regular_module, simple_module)
+                             kron_i2, regular_module, simple_module,
+                             write_fixture_files)
 
 from support import brute_submodules, submodule_point_set
 
@@ -468,3 +469,67 @@ def test_cli_sweep_over_shipped_documents():
             elif code == 2 and "error" not in json.loads(err.splitlines()[-1]):
                 bad.append(f"{argv}: no JSON error on stderr")
     assert bad == []
+
+
+def test_shipped_corpus_is_what_the_fixtures_write(tmp_path):
+    write_fixture_files(tmp_path)
+    shipped = {p.name: p.read_bytes() for p in DATA.iterdir()
+               if p.name.endswith(".json")}
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(written) == sorted(shipped)
+    assert [n for n in written if written[n] != shipped[n]] == []
+
+
+def edited_document(tmp_path, name, edit):
+    doc = json.loads((DATA / name).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def set_flag(i, columns):
+    def edit(doc):
+        doc["flags"][i] = columns
+    return edit
+
+
+def reverse_factors(doc):
+    doc["factors"].reverse()
+
+
+# One edit per way a series document can fail to be a composition series:
+# a rank-deficient flag, flags that do not nest, a flag that is not
+# invariant (X maps the first unit vector to the second), and factors that
+# name the wrong simple quotients.
+@pytest.mark.parametrize("name, edit, site, words", [
+    ("series_dual_lambda2.json",
+     set_flag(1, [["0", "0"], ["1", "1"], ["0", "0"], ["0", "0"]]),
+     "flags[1]", "dimension 1, not 2"),
+    ("series_dual_lambda2.json",
+     set_flag(1, [["1", "0"], ["0", "0"], ["0", "1"], ["0", "0"]]),
+     "flags[1]", "does not contain the previous flag"),
+    ("series_dual_lambda2.json",
+     set_flag(0, [["1"], ["0"], ["0"], ["0"]]),
+     "flags[0]", "not invariant"),
+    ("series_bidir_m.json", reverse_factors,
+     "factors[0]", "does not act as the identity"),
+], ids=["rank", "nesting", "invariance", "factors"])
+@pytest.mark.parametrize("command", ["triangularize", "comp-vector"])
+def test_cli_series_that_is_not_a_composition_series_is_parse_error(
+        tmp_path, name, edit, site, words, command):
+    code, out, err = run_cli([command, edited_document(tmp_path, name, edit)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].endswith(f"at $.{site}")
+    assert words in error["message"]
+
+
+def test_cli_psi_of_a_zero_dimensional_representation_exits_two(tmp_path):
+    def empty(doc):
+        doc["dim"], doc["mats"] = 0, [[], []]
+    path = edited_document(tmp_path, "rep_dual_lambda.json", empty)
+    code, out, err = run_cli(["psi", path])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "DimensionMismatch"
