@@ -100,6 +100,12 @@ class Representation:
     def is_triangular(self) -> bool:
         return all(m.is_upper_triangular() for m in self.mats)
 
+    def block(self, lo: int, hi: int) -> "Representation":
+        """The representation carried by every generator's diagonal block
+        on the coordinates lo..hi-1."""
+        mats = tuple(m.submatrix(range(lo, hi), range(lo, hi)) for m in self.mats)
+        return Representation(self.algebra, self.field, hi - lo, mats)
+
 
 def zero_representation(algebra: AlgebraPresentation, fld) -> Representation:
     mats = tuple(Matrix.zeros(fld, 0, 0) for _ in algebra.generators)
@@ -449,10 +455,6 @@ def submodule_generated(rep: Representation, vectors: Sequence[Matrix]) -> Submo
     return Submodule(rep, space)
 
 
-def _invertible(mat: Matrix) -> bool:
-    return mat.rank() == mat.rows
-
-
 def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
                      max_trials: int = 32) -> Optional[ModuleMap]:
     """An invertible intertwiner m -> n, or None when provably none exists.
@@ -475,17 +477,17 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
     if not (k == hom_dim(m, m) == hom_dim(n, n)):
         return None
     for h in basis:
-        if _invertible(h.mat):
+        if h.mat.is_injective():
             return h
     mats = [h.mat for h in basis]
     fld = m.field
     if fld.finite and k <= 8 and fld.p ** k <= 1 << 16:
-        mat = first_combination(mats, _invertible)
+        mat = first_combination(mats, Matrix.is_injective)
         return None if mat is None else ModuleMap(m, n, mat)
     rng = random.Random(seed)
     trials = ([fld.sample(rng, 1 + trial // 8) for _ in range(k)]
               for trial in range(max_trials))
-    mat = first_combination(mats, _invertible, trials)
+    mat = first_combination(mats, Matrix.is_injective, trials)
     if mat is not None:
         return ModuleMap(m, n, mat)
     raise Undecided(

@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import FieldMismatch, ModdegError, ParseError
+from .errors import AlgebraMismatch, FieldMismatch, ModdegError, ParseError
 from .algebras import Report, Representation, hom_dim, validate
 from .degeneration import (codim, compose_certificates, hom_defect,
                            orbit_dim_gl, push_submodule, split_submodule,
@@ -86,6 +86,8 @@ def _vchain(cert, submodule):
 
 
 def _deform(ladder, t, cvec):
+    if cvec and cvec.algebra != ladder.m_chain.stages[0].algebra:
+        raise AlgebraMismatch("composition vector is over another algebra")
     family = build_family(make_monic(ladder), cvec.entries if cvec else None)
     fld = ladder.m_chain.stages[0].field
     try:

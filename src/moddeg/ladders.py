@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import (BadParameter, DimensionMismatch,
                      InternalInvariantViolation, NoAdaptedBasis,
-                     TriangularityViolated, VerificationFailed)
+                     VerificationFailed)
 from .algebras import (AlgebraPresentation, CheckItem, ModuleMap, Report,
                        Representation, read_on_complement, sub_representation,
                        validate)
@@ -133,8 +133,7 @@ def make_monic(lc: LadderCertificate) -> LadderCertificate:
     """
     cols, h = list(lc.columns), list(lc.h)
     while True:
-        bad = [r for r in range(lc.length - 1)
-               if h[r].mat.rank() < h[r].source.dim]
+        bad = [r for r in range(lc.length - 1) if not h[r].mat.is_injective()]
         if not bad:
             break
         r = bad[-1]
@@ -167,7 +166,6 @@ class DeformationFamily:
 
     ladder: LadderCertificate
     basis: Matrix
-    constraint: Optional[tuple[int, ...]] = None
 
     @property
     def ambient(self) -> Representation:
@@ -186,10 +184,9 @@ def build_family(lc: LadderCertificate,
     must already be injective (run make_monic first).
     """
     d = lc.length
-    for hm in lc.h:
-        if hm.mat.rank() < hm.source.dim:
-            raise DimensionMismatch(
-                "deformation family needs injective row maps; run make_monic")
+    if not all(hm.mat.is_injective() for hm in lc.h):
+        raise DimensionMismatch(
+            "deformation family needs injective row maps; run make_monic")
     ambient = lc.columns[-1].middle
     fld = ambient.field
     if constraint is not None and len(constraint) != d:
@@ -222,7 +219,7 @@ def build_family(lc: LadderCertificate,
                 f"no adapted basis vector at position {i + 1}", index=i + 1)
         chosen.append(pick)
     basis = Matrix.from_columns(fld, chosen, rows=ambient.dim)
-    return DeformationFamily(lc, basis, constraint)
+    return DeformationFamily(lc, basis)
 
 
 def evaluate_family(fam: DeformationFamily, t) -> TriangularRep:
@@ -241,23 +238,18 @@ def evaluate_family(fam: DeformationFamily, t) -> TriangularRep:
     t = fld.coerce(t)
     xd = top.x
     phi = vstack(top.f.mat + Matrix.identity(fld, xd.dim).scale(t), top.g.mat)
-    if phi.rank() < xd.dim:
+    if not phi.is_injective():
         raise BadParameter(f"phi_t is not injective at t = {fld.fmt(t)}")
     read = read_on_complement(ambient, phi, fam.basis)
     if read is None:
         raise BadParameter(
             f"im phi_t does not complement the basis span at t = {fld.fmt(t)}")
-    mats = read[1]
-    for name, m in zip(ambient.algebra.generators, mats):
-        if not m.is_upper_triangular():
-            raise TriangularityViolated(
-                f"family member is not triangular on generator {name}")
-    rep = Representation(ambient.algebra, fld, d, mats)
-    report = validate(rep)
+    member = TriangularRep(Representation(ambient.algebra, fld, d, read[1]))
+    report = validate(member.rep)
     if not report.ok:
         raise InternalInvariantViolation(
             f"family member violates the algebra relations: {report.failures()}")
-    return TriangularRep(rep)
+    return member
 
 
 def upper_triangular_algebra(base: AlgebraPresentation, d: int) -> AlgebraPresentation:
@@ -274,9 +266,7 @@ def upper_triangular_algebra(base: AlgebraPresentation, d: int) -> AlgebraPresen
     idx = {g: i for i, g in enumerate(gens)}
     nl = len(lifts)
 
-    relations: list = []
-    for rel in base.relations:
-        relations.append(tuple((c, w) for c, w in rel))
+    relations = list(base.relations)
     # diagonal units absorb the superdiagonal ones
     for i in range(1, d):
         a = idx[f"E{i}_{i + 1}"]
@@ -300,7 +290,6 @@ def upper_triangular_algebra(base: AlgebraPresentation, d: int) -> AlgebraPresen
             a = idx[f"E{i}_{i + 1}"]
             relations.append(((1, (li, a)), (-1, (a, li))))
     # the lifted unit equals the sum of the new diagonal units
-    unit_terms: list = []
     if base.unit_generator is None:
         unit_terms = [(1, (idx[f"L_{g}"],)) for g in base.idempotents]
     else:
@@ -322,46 +311,41 @@ def psi_embed(tri: TriangularRep) -> Representation:
     """Embed a triangular representation as a d(d+1)/2-dimensional module
     over the upper-triangular matrix algebra.
 
-    The carrier space is the sum of the stage modules M_1, .., M_d (blocks
-    of sizes 1..d in that order).  The scalar-diagonal lift of a base
-    generator acts block-diagonally through the stages; the unit E_{i,i}
-    projects onto the component of the (d+1-i)-th stage; E_{i,i+1} is the
-    stage inclusion M_{d-i} -> M_{d+1-i} placed between those components.
-    With this placement the images satisfy all matrix-unit identities and
-    commute with the lifts, which the stage truncation property makes
-    exact.  Raises DimensionMismatch when d = 0, which has no stages.
+    The carrier space is the sum of the stages M_1, .., M_d of
+    ``tri.chain()``, stage i at offset i(i-1)/2.  The scalar-diagonal lift
+    of a base generator acts block-diagonally through the stages; the unit
+    E_{i,i} projects onto the (d+1-i)-th stage; E_{i,i+1} is the chain
+    inclusion M_{d-i} -> M_{d+1-i} placed between those stages.  With this
+    placement the images satisfy all matrix-unit identities and commute
+    with the lifts, which the stage truncation property makes exact.
+    Raises DimensionMismatch when d = 0, which has no stages.
     """
     rep = tri.rep
     d = rep.dim
     if d == 0:
         raise DimensionMismatch("psi needs a representation of positive dimension")
     fld = rep.field
-    alg = upper_triangular_algebra(rep.algebra, d)
+    chain = tri.chain()
     a = d * (d + 1) // 2
-    offsets = [0]
-    for size in range(1, d + 1):
-        offsets.append(offsets[-1] + size)
 
-    def place(block: Matrix, row_block: int, col_block: int) -> Matrix:
+    def place(*blocks) -> Matrix:
+        """The a x a matrix holding each (mat, i, j) on the rows of stage i
+        and the columns of stage j, and zero elsewhere."""
         out = [[fld.zero] * a for _ in range(a)]
-        r0, c0 = offsets[row_block - 1], offsets[col_block - 1]
-        for i, row in enumerate(block.data):
-            for j, v in enumerate(row):
-                out[r0 + i][c0 + j] = v
+        for mat, i, j in blocks:
+            r0, c0 = i * (i - 1) // 2, j * (j - 1) // 2
+            for k, row in enumerate(mat.data):
+                out[r0 + k][c0:c0 + mat.cols] = row
         return Matrix(fld, a, a, out)
 
-    mats = []
-    for g in range(len(rep.algebra.generators)):
-        mats.append(block_diag(*[tri.stage(i).mats[g] for i in range(1, d + 1)]))
-    for i in range(1, d + 1):
-        comp = d + 1 - i
-        blocks = [Matrix.identity(fld, size) if size == comp else Matrix.zeros(fld, size, size)
-                  for size in range(1, d + 1)]
-        mats.append(block_diag(*blocks))
-    for i in range(1, d):
-        inc = vstack(Matrix.identity(fld, d - i), Matrix.zeros(fld, 1, d - i))
-        mats.append(place(inc, d + 1 - i, d - i))
-    return Representation(alg, fld, a, tuple(mats))
+    stages = list(enumerate(chain.stages, 1))
+    mats = [place(*[(stage.mats[g], i, i) for i, stage in stages])
+            for g in range(len(rep.mats))]
+    mats += [place((Matrix.identity(fld, i), i, i)) for i in range(d, 0, -1)]
+    mats += [place((chain.inclusions[i - 1].mat, i + 1, i))
+             for i in range(d - 1, 0, -1)]
+    return Representation(upper_triangular_algebra(rep.algebra, d), fld, a,
+                          tuple(mats))
 
 
 def orbit_dim_ud(tri: TriangularRep) -> int:

@@ -173,6 +173,10 @@ class Matrix:
     def rank(self) -> int:
         return rref(self)[1]
 
+    def is_injective(self) -> bool:
+        """Whether the columns are linearly independent."""
+        return self.rank() == self.cols
+
 
 def hstack(*mats: Matrix) -> Matrix:
     mats = [m for m in mats]

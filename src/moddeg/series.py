@@ -20,8 +20,7 @@ from .errors import (DimensionMismatch, FieldTooSmall,
 from .algebras import (ModuleMap, Representation, Submodule, conjugate,
                        intertwiner_basis, quotient_by_subspace,
                        sub_representation)
-from .linalg import (Matrix, Subspace, first_combination, image, kernel,
-                     vstack)
+from .linalg import Matrix, Subspace, first_combination, image, kernel
 
 
 def socle(rep: Representation) -> Submodule:
@@ -124,7 +123,7 @@ class ModuleChain:
         for i, inc in enumerate(self.inclusions):
             if inc.source != self.stages[i] or inc.target != self.stages[i + 1]:
                 return False
-            if not inc.is_intertwiner() or inc.mat.rank() != inc.source.dim:
+            if not inc.is_intertwiner() or not inc.mat.is_injective():
                 return False
         return True
 
@@ -173,18 +172,16 @@ class TriangularRep:
 
     def stage(self, i: int) -> Representation:
         """The representation carried by the first i coordinates."""
-        mats = tuple(m.submatrix(range(i), range(i)) for m in self.rep.mats)
-        return Representation(self.rep.algebra, self.rep.field, i, mats)
-
-    def stage_inclusion(self, i: int) -> ModuleMap:
-        fld = self.rep.field
-        mat = vstack(Matrix.identity(fld, i), Matrix.zeros(fld, 1, i))
-        return ModuleMap(self.stage(i), self.stage(i + 1), mat)
+        return self.rep.block(0, i)
 
     def chain(self) -> ModuleChain:
-        d = self.dim
-        return ModuleChain(tuple(self.stage(i) for i in range(1, d + 1)),
-                           tuple(self.stage_inclusion(i) for i in range(1, d)))
+        """The stages 1..d, each included in the next as its first
+        coordinates."""
+        stages = tuple(self.stage(i) for i in range(1, self.dim + 1))
+        ident = Matrix.identity(self.rep.field, self.dim)
+        return ModuleChain(stages, tuple(
+            ModuleMap(a, b, ident.submatrix(range(b.dim), range(a.dim)))
+            for a, b in zip(stages, stages[1:])))
 
 
 def flag_basis(rep: Representation, flags: list[Subspace]) -> Matrix:
@@ -219,7 +216,10 @@ def series_to_triangular(series: CompositionSeries) -> TriangularRep:
 
 def chain_to_triangular(chain: ModuleChain) -> TriangularRep:
     """Realize an abstract chain as a triangular representation of its top
-    stage, using the composed inclusion images as flags."""
+    stage, using the composed inclusion images as flags.  Raises
+    NotSubmodule unless the chain is a composition-series chain."""
+    if not chain.validate():
+        raise NotSubmodule("chain is not a composition-series chain")
     top = Matrix.identity(chain.stages[-1].field, chain.length)
     embs = chain_embeddings([inc.mat for inc in chain.inclusions], top)
     return triangularize_flags(
@@ -235,13 +235,13 @@ def triangular_to_series(tri: TriangularRep) -> CompositionSeries:
     if not alg.idempotents:
         raise SimpleNotOneDimensional(
             "composition factors need a declared idempotent set")
-    flags = []
-    for i in range(1, rep.dim + 1):
-        cols = [Matrix.unit_vector(fld, rep.dim, j).column(0) for j in range(i)]
-        sub = Submodule(rep, Subspace.from_columns(
-            Matrix.from_columns(fld, cols, rows=rep.dim)))
-        sub.require_invariant()
-        flags.append(sub)
+    # Every coordinate flag is invariant, since TriangularRep holds only
+    # upper-triangular generators; its canonical basis is the identity's
+    # first columns.
+    ident = Matrix.identity(fld, rep.dim)
+    flags = [Submodule(rep, Subspace(fld, rep.dim,
+                                     ident.submatrix(range(rep.dim), range(i))))
+             for i in range(1, rep.dim + 1)]
     factors = []
     for i in range(rep.dim):
         hits = [pos for pos, idx in enumerate(alg.idempotent_indices)
@@ -306,7 +306,7 @@ def simultaneous_triangularize(m: Representation, n: Representation,
         basis = Matrix.from_columns(rep.field, [
             (rep.mats[idem[pos]] @ raw.column_matrix(i)).column(0)
             for i, pos in enumerate(series.factors)], rows=rep.dim)
-        if basis.rank() != rep.dim:
+        if not basis.is_injective():
             raise InternalInvariantViolation(
                 "idempotent image fell into the previous flag")
         return basis

@@ -219,3 +219,50 @@ def random_nilpotent_rep(alg: AlgebraPresentation, fld, rng: random.Random,
     ginv = inverse(g)
     mats = tuple(ginv @ (m @ g) for m in base.mats)
     return Representation(alg, fld, dim, mats)
+
+
+def dense_psi(rep: Representation) -> list[Matrix]:
+    """The generator images of psi for a triangular representation, built
+    entry by entry from the generator matrices: stage i (the first i
+    coordinates) sits at offset i(i-1)/2 of a d(d+1)/2-dimensional space.
+    Each lifted generator holds its top-left i x i block on stage i; E_ii
+    is the identity on stage d+1-i; E_{i,i+1} is [I; 0] from stage d-i
+    into stage d+1-i.  The order is lifts, then E_ii, then E_{i,i+1}."""
+    fld, d = rep.field, rep.dim
+    size = d * (d + 1) // 2
+
+    def start(i):
+        return i * (i - 1) // 2
+
+    def blank():
+        return [[fld.zero] * size for _ in range(size)]
+
+    out = []
+    for m in rep.mats:
+        img = blank()
+        for i in range(1, d + 1):
+            for r in range(i):
+                for c in range(i):
+                    img[start(i) + r][start(i) + c] = m.data[r][c]
+        out.append(img)
+    for i in range(1, d + 1):
+        img, s = blank(), d + 1 - i
+        for r in range(s):
+            img[start(s) + r][start(s) + r] = fld.one
+        out.append(img)
+    for i in range(1, d):
+        img, rows, cols = blank(), d + 1 - i, d - i
+        for r in range(cols):
+            img[start(rows) + r][start(cols) + r] = fld.one
+        out.append(img)
+    return [Matrix(fld, size, size, img) for img in out]
+
+
+def random_strict_triangular_nilpotent(fld, rng: random.Random, d: int):
+    """A d-dimensional k[X]/(X^d) representation whose X is a random
+    strictly upper-triangular matrix (so X^d = 0)."""
+    from moddeg.fixtures import make_rep, truncated_polynomial_algebra
+    x = [[rng.randint(-2, 2) if c > r and rng.random() < 0.6 else 0
+          for c in range(d)] for r in range(d)]
+    ident = [[int(r == c) for c in range(d)] for r in range(d)]
+    return make_rep(truncated_polynomial_algebra(d), fld, [ident, x])

@@ -12,7 +12,9 @@ Regenerate the snapshot with
     PYTHONPATH=src python tests/test_cli_snapshot.py
 
 Regenerating it is a change to the CLI's outputs: a change that does so
-must name in CHANGES.md the calls whose outputs changed, and why.
+must name in CHANGES.md the calls whose outputs changed, and why.  The
+regenerator prints the argument list and the old and new exit codes of
+every entry that differs from the file it replaces.
 """
 
 from __future__ import annotations
@@ -114,9 +116,17 @@ def test_snapshot_covers_the_golden_cases_and_every_command():
 
 
 if __name__ == "__main__":
+    old = {json.dumps(e["argv"]): e for e in load_snapshot()} \
+        if SNAPSHOT.exists() else {}
     with inside(DATA):
         entries = [record(argv) for argv in snapshot_calls()]
     SNAPSHOT.write_text(
         "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n",
         encoding="utf-8")
     print(f"wrote {len(entries)} entries to {SNAPSHOT}")
+    for entry in entries:
+        before = old.get(json.dumps(entry["argv"]))
+        if before != entry:
+            was = "new" if before is None else f"exit {before['exit']}"
+            print(f"changed: {' '.join(entry['argv'])}: {was} -> "
+                  f"exit {entry['exit']}")

@@ -533,3 +533,63 @@ def test_cli_psi_of_a_zero_dimensional_representation_exits_two(tmp_path):
     code, out, err = run_cli(["psi", path])
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "DimensionMismatch"
+
+
+def test_cli_commands_reject_documents_over_two_algebras():
+    """Every command that reads two or more documents exits 2 on seeded
+    draws of shipped documents that share a field but span two
+    algebras."""
+    docs = {}
+    for path in sorted(DATA.iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".json") and path.name != "golden.json":
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            docs.setdefault(doc["kind"], []).append(
+                (str(path), json.dumps(doc["field"]), json.dumps(doc["algebra"])))
+    rng = random.Random(2014)
+    bad = []
+    for name, command in COMMANDS.items():
+        if sum(1 for _, kinds, _ in command.args if kinds) < 2:
+            continue
+        drawn = 0
+        while drawn < 30:
+            argv, picks = [name], []
+            for arg, kinds, options in command.args:
+                if not kinds:
+                    if arg in SWEEP_VALUES:
+                        argv += [arg, SWEEP_VALUES[arg]]
+                    continue
+                pool = [d for kind in kinds for d in docs.get(kind, [])]
+                count = rng.randint(1, 3) if options.get("nargs") == "+" else 1
+                chosen = [rng.choice(pool) for _ in range(count)]
+                picks += chosen
+                paths = [path for path, _, _ in chosen]
+                argv += [arg, *paths] if arg.startswith("--") else paths
+            if len({f for _, f, _ in picks}) > 1 or len({a for _, _, a in picks}) < 2:
+                continue
+            drawn += 1
+            code, _, err = run_cli(argv)
+            if code != 2:
+                bad.append(f"{' '.join(Path(a).name for a in argv)}: exit {code}")
+    assert bad == []
+
+
+@pytest.mark.parametrize("side", ["m_inc", "n_inc"])
+def test_cli_psi_refuses_a_ladder_whose_border_is_not_a_chain(tmp_path, side):
+    def zero_inclusion(doc):
+        doc[side][1] = [["0", "0"]] * 3
+    path = edited_document(tmp_path, "ladder_nilp3_corner.json", zero_inclusion)
+    code, out, err = run_cli(["psi", path])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "NotSubmodule"
+    assert run_cli(["check-ladder", path])[0] == 1
+
+
+@pytest.mark.parametrize("entry", ["e1", "e2"])
+def test_cli_deform_refuses_a_cvector_over_another_algebra(tmp_path, entry):
+    def over_three(doc):
+        doc["entries"] = [entry] * 3
+    cvec = edited_document(tmp_path, "cvec_r2.json", over_three)
+    code, out, err = run_cli(["deform", data_path("ladder_nilp3_corner.json"),
+                              "--t", "0,1", "--cvec", cvec])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "AlgebraMismatch"

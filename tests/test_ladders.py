@@ -1,6 +1,8 @@
 """Ladder certificates, monicization, deformation families, the
 upper-triangular embedding and orbit dimensions."""
 
+import random
+
 import pytest
 
 from moddeg import (Matrix, ModuleMap, build_family, direct_sum,
@@ -9,8 +11,8 @@ from moddeg import (Matrix, ModuleMap, build_family, direct_sum,
                     series_isomorphic, validate,
                     verify_certificate, verify_ladder)
 from moddeg.errors import BadParameter
-from moddeg.fields import QQ
-from moddeg.fixtures import (kron_r2_mu, ladder_nilp3_corner,
+from moddeg.fields import GF, QQ
+from moddeg.fixtures import (kron_r2_mu, kron_r2_nu, ladder_nilp3_corner,
                              ladder_nilp3_shift, make_rep,
                              mu_corner_triangular, nu_prime_triangular,
                              nu_shift_triangular, regular_module,
@@ -18,6 +20,8 @@ from moddeg.fixtures import (kron_r2_mu, ladder_nilp3_corner,
                              truncated_polynomial_algebra)
 from moddeg.series import ModuleChain, TriangularRep, chain_to_triangular
 from moddeg.oracles import nilpotent_degenerates, nilpotent_rank_profile
+
+from support import dense_psi, random_strict_triangular_nilpotent
 
 KX2 = truncated_polynomial_algebra(2)
 
@@ -179,6 +183,17 @@ def test_psi_respects_all_declared_relations():
         out = psi_embed(tri)
         report = validate(out)
         assert report.ok, report.failures()
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_psi_embed_against_a_block_reference(fld):
+    rng = random.Random(8)
+    tris = [make(fld) for make in (mu_corner_triangular, nu_shift_triangular,
+                                   nu_prime_triangular, kron_r2_mu, kron_r2_nu)]
+    tris += [TriangularRep(random_strict_triangular_nilpotent(
+        fld, rng, rng.randint(1, 5))) for _ in range(25)]
+    for tri in tris:
+        assert list(psi_embed(tri).mats) == dense_psi(tri.rep)
 
 
 def test_orbit_dim_ud_values():
