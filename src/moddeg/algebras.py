@@ -246,8 +246,8 @@ class Submodule:
         return self.space.dim
 
     def is_invariant(self) -> bool:
-        ann, b = self.space.left_annihilator(), self.space.basis
-        return all((ann @ (m @ b)).is_zero() for m in self.ambient.mats)
+        return all(self.space.coordinates(m @ self.space.basis) is not None
+                   for m in self.ambient.mats)
 
     def require_invariant(self):
         if not self.is_invariant():
@@ -365,24 +365,20 @@ def hom_dim(m: Representation, n: Representation) -> int:
 def conjugate(rep: Representation, basis: Matrix) -> Representation:
     """``rep`` rewritten in the columns of an invertible ``basis``: every
     generator matrix g becomes basis^-1 . g . basis."""
-    inv = inverse(basis)
-    if inv is None:
+    read = read_on_complement(rep, Matrix.zeros(rep.field, rep.dim, 0), basis)
+    if read is None:
         raise InternalInvariantViolation("adapted basis is singular")
-    mats = tuple(inv @ (g @ basis) for g in rep.mats)
-    return Representation(rep.algebra, rep.field, rep.dim, mats)
+    return Representation(rep.algebra, rep.field, rep.dim, read[1])
 
 
 def sub_representation(rep: Representation, space: Subspace):
     """The induced representation on a canonical basis of an invariant
     subspace, with its inclusion map.  Raises NotSubmodule otherwise."""
     b = space.basis
-    mats = []
-    for m in rep.mats:
-        coords = solve_right(b, m @ b)
-        if coords is None:
-            raise NotSubmodule("subspace is not invariant under the algebra action")
-        mats.append(coords)
-    sub = Representation(rep.algebra, rep.field, space.dim, tuple(mats))
+    mats = tuple(space.coordinates(m @ b) for m in rep.mats)
+    if None in mats:
+        raise NotSubmodule("subspace is not invariant under the algebra action")
+    sub = Representation(rep.algebra, rep.field, space.dim, mats)
     return sub, ModuleMap(sub, rep, b)
 
 
@@ -411,8 +407,7 @@ def quotient_by_subspace(rep: Representation, space: Subspace):
         raise DimensionMismatch("complement basis failed to complete")
     proj, mats = read
     quot = Representation(rep.algebra, rep.field, comp.cols, mats)
-    if not all((proj @ (m @ space.basis)).is_zero() for m in rep.mats):
-        raise NotSubmodule("subspace is not invariant under the algebra action")
+    Submodule(rep, space).require_invariant()
     return quot, ModuleMap(rep, quot, proj), comp
 
 

@@ -168,11 +168,10 @@ def push_submodule(cert: RiedtmannCertificate, mprime: Submodule) -> PushResult:
     xp_inc = sub_representation(cert.x, space)[1]
     mp_inc = sub_representation(cert.m, mprime.space)[1]
     # The image of X' (+) M' under q, in ambient N coordinates.
-    q_emb = cert.q.mat @ block_diag(xp_inc.mat, mp_inc.mat)
-    if q_emb.rank() != mprime.dim:
+    nprime_space = image(cert.q.mat @ block_diag(xp_inc.mat, mp_inc.mat))
+    if nprime_space.dim != mprime.dim:
         raise InternalInvariantViolation(
             "induced inclusion of the cokernel into N is not injective")
-    nprime_space = image(q_emb)
     np_inc = sub_representation(cert.n, nprime_space)[1]
     out = cert.restrict(xp_inc, mp_inc, np_inc)
     return PushResult(Submodule(cert.n, nprime_space),

@@ -250,26 +250,26 @@ def _parse_series(obj, alg, fld, path) -> CompositionSeries:
     flags = obj["flags"]
     if not isinstance(flags, list) or len(flags) != amb.dim:
         _fail(f"flags must have {amb.dim} entries", path + ".flags")
-    one = Matrix.identity(fld, amb.dim)
-    subs, anns = [], [one]          # anns[i] annihilates flag i - 1
+    subs = []
     for i in range(amb.dim):
         fpath = f"{path}.flags[{i}]"
         sub = Submodule(amb, Subspace.from_columns(
             _parse_matrix(flags[i], fld, amb.dim, i + 1, fpath)))
         if sub.dim != i + 1:
             _fail(f"flag has dimension {sub.dim}, not {i + 1}", fpath)
-        anns.append(sub.space.left_annihilator())
-        if subs and not (anns[-1] @ subs[-1].space.basis).is_zero():
+        if subs and not sub.space.contains(subs[-1].space):
             _fail("flag does not contain the previous flag", fpath)
         if not sub.is_invariant():
             _fail("flag is not invariant under the algebra action", fpath)
         subs.append(sub)
     factors = _parse_factor_names(obj["factors"], alg, amb.dim, path + ".factors")
+    prev = Subspace.zero(fld, amb.dim)
     for i, (sub, pos) in enumerate(zip(subs, factors)):
-        shift = amb.mats[alg.idempotent_indices[pos]] - one
-        if not (anns[i] @ (shift @ sub.space.basis)).is_zero():
+        shift = amb.mats[alg.idempotent_indices[pos]] - Matrix.identity(fld, amb.dim)
+        if prev.coordinates(shift @ sub.space.basis) is None:
             _fail(f"{alg.idempotents[pos]!r} does not act as the identity on "
                   "the flag modulo the previous flag", f"{path}.factors[{i}]")
+        prev = sub.space
     return CompositionSeries(amb, tuple(subs), factors)
 
 

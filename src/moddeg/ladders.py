@@ -85,8 +85,8 @@ def ladder_from_columns(m_chain: ModuleChain, n_chain: ModuleChain,
 
 
 def verify_ladder(lc: LadderCertificate) -> Report:
-    """Line-item verification: border chains, per-column certificates,
-    and commutativity of both squares between consecutive columns."""
+    """Line-item verification: border chains, per-column certificates of
+    the border stages joined by the h maps, and both commuting squares."""
     items = [CheckItem("top border is a composition-series chain",
                        lc.m_chain.validate()),
              CheckItem("bottom border is a composition-series chain",
@@ -105,11 +105,17 @@ def verify_ladder(lc: LadderCertificate) -> Report:
     cols = lc.columns
     for i, column in enumerate(cols):
         col = verify_certificate(column)
-        items.append(CheckItem(f"column {i + 1} is a valid certificate", col.ok,
-                               "" if col.ok else str(col.failures())))
+        staged = (column.m, column.n) == (lc.m_chain.stages[i], lc.n_chain.stages[i])
+        items.append(CheckItem(
+            f"column {i + 1} is a valid certificate", col.ok and staged,
+            str(col.failures()) if not col.ok else
+            "" if staged else "its M and N are not the border stages"))
     for i in range(d - 1):
         hm = lc.h[i]
-        items.append(CheckItem(f"h_{i + 1} intertwines", hm.is_intertwiner()))
+        joins = (hm.source, hm.target) == (cols[i].x, cols[i + 1].x)
+        items.append(CheckItem(
+            f"h_{i + 1} intertwines", joins and hm.is_intertwiner(),
+            "" if joins else "it does not run between the columns' X slots"))
         mid = block_diag(hm.mat, lc.m_chain.inclusions[i].mat)
         top_left = cols[i + 1].column_map() @ hm.mat
         top_right = mid @ cols[i].column_map()

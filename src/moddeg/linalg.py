@@ -451,17 +451,27 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim} over {self.field})"
 
+    def pivot_rows(self) -> list[int]:
+        """The rows of the basis columns' leading ones; the basis is the
+        identity on them."""
+        return [next(i for i, v in enumerate(col) if not self.field.is_zero(v))
+                for col in self.basis.columns()]
+
+    def coordinates(self, mat: Matrix) -> Optional[Matrix]:
+        """The X with ``basis @ X = mat``: ``mat`` read at the pivot rows,
+        or None when a column of ``mat`` leaves the span."""
+        x = mat.submatrix(self.pivot_rows(), range(mat.cols))
+        return x if self.basis @ x == mat else None
+
     def contains_vector(self, vec: Matrix) -> bool:
         if vec.rows != self.ambient_dim:
             raise DimensionMismatch("vector does not live in the ambient space")
-        return hstack(self.basis, vec).rank() == self.dim
+        return self.coordinates(vec) is not None
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        if other.dim == 0:
-            return True
-        return hstack(self.basis, other.basis).rank() == self.dim
+        return self.coordinates(other.basis) is not None
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
@@ -471,12 +481,8 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        stacked = hstack(self.basis, other.basis)
-        ker = kernel(stacked)
-        top = ker.basis.submatrix(range(self.dim), range(ker.basis.cols))
-        return Subspace.from_columns(self.basis @ top)
+        return Subspace.from_columns(
+            self.basis @ preimage(self.basis, other).basis)
 
     def left_annihilator(self) -> Matrix:
         """Rows spanning { r : r . basis = 0 }; empty for the full space."""
@@ -499,12 +505,11 @@ class Subspace:
         need = within.dim - self.dim
         chosen = []
         if need > 0:
-            # e_i lies in ``within`` iff column i of its annihilator is zero.
-            fld, n = self.field, self.ambient_dim
-            ann = within.left_annihilator()
-            candidates = [[fld.one if j == i else fld.zero for j in range(n)]
-                          for i in range(n) if all(map(fld.is_zero, ann.column(i)))]
-            candidates.extend(within.basis.column(j) for j in range(within.dim))
+            # In reduced column echelon form e_i lies in ``within`` iff it
+            # is a basis column, one with a single nonzero entry.
+            candidates = within.basis.columns()
+            candidates[:0] = [c for c in candidates
+                              if sum(not self.field.is_zero(v) for v in c) == 1]
             for cand in candidates:
                 if tracker.add(cand):
                     chosen.append(cand)
@@ -534,10 +539,8 @@ def image(m: Matrix) -> Subspace:
 
 
 def preimage(m: Matrix, s: Subspace) -> Subspace:
-    """{ v : m . v lies in s }."""
+    """{ v : m . v lies in s }: the kernel of m minus s's basis times m
+    read at s's pivot rows, which is zero exactly on the span of s."""
     if s.ambient_dim != m.rows:
         raise DimensionMismatch("subspace does not live in the codomain")
-    ann = s.left_annihilator()
-    if ann.rows == 0:
-        return Subspace.full(m.field, m.cols)
-    return kernel(ann @ m)
+    return kernel(m - s.basis @ m.submatrix(s.pivot_rows(), range(m.cols)))

@@ -20,7 +20,7 @@ from .errors import (DimensionMismatch, FieldTooSmall,
 from .algebras import (ModuleMap, Representation, Submodule, conjugate,
                        intertwiner_basis, quotient_by_subspace,
                        sub_representation)
-from .linalg import Matrix, Subspace, first_combination, image, kernel
+from .linalg import Matrix, Subspace, first_combination, image, kernel, rref
 
 
 def socle(rep: Representation) -> Submodule:
@@ -337,20 +337,23 @@ def series_isomorphic(a: TriangularRep, b: TriangularRep,
 
     An upper-triangular matrix is invertible iff its diagonal is nonzero,
     so existence reduces to the d diagonal coordinate functionals on the
-    intertwiner space: if any vanishes identically the answer is no;
-    otherwise a witness is found by a deterministic Vandermonde scan
-    (exhaustively over tiny fields).  Raises FieldTooSmall when neither
-    route is feasible.
+    intertwiner space: if any vanishes identically the answer is no.
+    Otherwise the s <= d basis maps at the functionals' pivot columns
+    reach every diagonal, and a witness among their combinations is found
+    by a deterministic Vandermonde scan (exhaustively over tiny fields).
+    Raises FieldTooSmall when neither route is feasible.
     """
     basis = upper_triangular_hom_basis(a, b)
     d = a.dim
     fld = a.rep.field
     if d == 0:
         return ModuleMap(a.rep, b.rep, Matrix.zeros(fld, 0, 0))
-    k = len(basis)
-    functionals = [[h.entry(j, j) for h in basis] for j in range(d)]
-    if any(all(fld.is_zero(c) for c in row) for row in functionals):
+    functionals = Matrix(fld, d, len(basis),
+                         [[h.entry(j, j) for h in basis] for j in range(d)])
+    if any(all(fld.is_zero(c) for c in row) for row in functionals.data):
         return None
+    basis = [basis[c] for c in rref(functionals)[2]]
+    k = len(basis)
 
     def invertible(acc: Matrix) -> bool:
         return not any(fld.is_zero(acc.entry(j, j)) for j in range(d))

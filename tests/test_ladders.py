@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from moddeg import (Matrix, ModuleMap, build_family, direct_sum,
-                    evaluate_family, ladder_from_columns,
+from moddeg import (LadderCertificate, Matrix, ModuleMap, build_family,
+                    direct_sum, evaluate_family, ladder_from_columns,
                     make_monic, orbit_dim_ud, psi_embed,
                     series_isomorphic, validate,
                     verify_certificate, verify_ladder)
-from moddeg.errors import BadParameter
+from moddeg.errors import BadParameter, VerificationFailed
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (kron_r2_mu, kron_r2_nu, ladder_nilp3_corner,
                              ladder_nilp3_shift, make_rep,
@@ -46,6 +46,28 @@ def test_single_column_ladder_is_certificate_check():
                               g=[Matrix.zeros(QQ, 1, 1)],
                               q=[Matrix.zeros(QQ, 1, 2)])
     assert not verify_ladder(bad).ok
+
+
+def test_verify_ladder_ties_the_columns_to_the_borders():
+    # the trivial ladder of nu under the borders of mu: every column is a
+    # valid certificate and every square commutes, but columns 2 and 3
+    # certify nu's stages, not mu's, and nu is not in mu's orbit closure
+    mu, nu = mu_corner_triangular(QQ), nu_shift_triangular(QQ)
+    assert orbit_dim_ud(mu) < orbit_dim_ud(nu)
+    tl = trivial_ladder(nu)
+    bad = LadderCertificate(mu.chain(), nu.chain(), tl.columns, tl.h)
+    report = verify_ladder(bad)
+    assert [it.name for it in report.failures()] == [
+        "column 2 is a valid certificate", "column 3 is a valid certificate"]
+    with pytest.raises(VerificationFailed):
+        make_monic(bad)
+    # h_1 with the matrix [1] but between simples of another algebra
+    lc = ladder_nilp3_corner(QQ)
+    s2 = simple_module(QQ, 2)
+    h = (ModuleMap(s2, s2, lc.h[0].mat),) + lc.h[1:]
+    report = verify_ladder(LadderCertificate(lc.m_chain, lc.n_chain,
+                                             lc.columns, h))
+    assert [it.name for it in report.failures()] == ["h_1 intertwines"]
 
 
 def test_make_monic_noop_on_monic_ladder():

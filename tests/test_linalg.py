@@ -147,6 +147,84 @@ def test_preimage_exactness_by_enumeration():
             assert pre.contains_vector(v) == s.contains_vector(m @ v)
 
 
+def _wide_matrix(fld, rng, rows, cols):
+    """Half the entries zero; over QQ the others with numerators up to
+    10^6 and denominators up to 10^4."""
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        if fld.finite:
+            return rng.randrange(fld.p)
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+    return Matrix.from_rows(fld, [[entry() for _ in range(cols)]
+                                  for _ in range(rows)], cols=cols)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_coordinates_against_independent_rank_and_solve_right(fld):
+    rng = random.Random(41)
+    p = fld.p if fld.finite else 0
+    for trial in range(80):
+        n = rng.randint(1, 5)
+        if trial % 8 == 0:
+            s = Subspace.zero(fld, n)
+        elif trial % 8 == 1:
+            s = Subspace.full(fld, n)
+        else:
+            s = Subspace.from_columns(_wide_matrix(fld, rng, n, rng.randint(0, n)))
+        members = s.basis @ _wide_matrix(fld, rng, s.dim, rng.randint(0, 3))
+        for v in (members, _wide_matrix(fld, rng, n, rng.randint(0, 3))):
+            inside = (independent_rank(hstack(s.basis, v).data, p)
+                      == independent_rank(s.basis.data, p))
+            x = s.coordinates(v)
+            assert (x is not None) == inside
+            assert x == solve_right(s.basis, v)
+            assert s.contains(Subspace.from_columns(v)) == inside
+            for j in range(v.cols):
+                col = v.column_matrix(j)
+                grown = independent_rank(hstack(s.basis, col).data, p)
+                assert s.contains_vector(col) == (grown == s.dim)
+
+
+def _points(s: Subspace, p: int) -> set:
+    b = s.basis
+    return {tuple(sum(b.data[i][j] * c[j] for j in range(b.cols)) % p
+                  for i in range(b.rows))
+            for c in all_vectors(p, b.cols)}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_intersect_and_preimage_against_enumerated_points(p):
+    fld = GF(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        n, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = (Subspace.from_columns(_wide_matrix(fld, rng, n, rng.randint(0, n)))
+                for _ in range(2))
+        assert _points(a.intersect(b), p) == _points(a, p) & _points(b, p)
+        m = _wide_matrix(fld, rng, n, cols)
+        inside = _points(a, p)
+        expected = {v for v in all_vectors(p, cols)
+                    if tuple(sum(m.data[i][j] * v[j] for j in range(cols)) % p
+                             for i in range(n)) in inside}
+        assert _points(preimage(m, a), p) == expected
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_left_annihilator_rows_annihilate_and_have_full_rank(fld):
+    rng = random.Random(43)
+    p = fld.p if fld.finite else 0
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        s = Subspace.from_columns(_wide_matrix(fld, rng, n, rng.randint(0, n)))
+        if trial < 2:
+            s = (Subspace.zero, Subspace.full)[trial](fld, n)
+        ann = s.left_annihilator()
+        assert (ann.rows, ann.cols) == (n - s.dim, n)
+        assert dense_matmul(ann, s.basis).is_zero()
+        assert independent_rank(ann.data, p) == n - s.dim
+
+
 def test_solve_and_inverse_roundtrip():
     rng = random.Random(3)
     for fld in FIELDS:

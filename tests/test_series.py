@@ -235,6 +235,18 @@ def test_series_isomorphic_field_too_small_guard():
     assert series_isomorphic(mu, mu) is not None
 
 
+def test_series_isomorphic_searches_only_the_diagonals_the_space_reaches():
+    # every upper-triangular matrix intertwines the zero action, so the
+    # space has dimension 21, but six maps reach every diagonal: the
+    # search covers 2^6 points, not 2^21
+    m = TriangularRep(make_rep(truncated_polynomial_algebra(2), F2,
+                               [[[int(i == j) for j in range(6)] for i in range(6)],
+                                [[0] * 6 for _ in range(6)]]))
+    w = series_isomorphic(m, m)
+    assert w is not None and w.is_intertwiner() and w.mat.is_upper_triangular()
+    assert all(w.mat.entry(j, j) == 1 for j in range(6))
+
+
 def test_composition_series_of_kronecker_injective():
     i2 = kron_i2(QQ)
     cs = composition_series(i2)
