@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      InternalInvariantViolation, NotSubmodule, Undecided)
 from .linalg import (Matrix, Subspace, block_diag, first_combination, hstack,
-                     image, inverse, kernel, solve_right, vstack)
+                     image, inverse, kernel, row_from_dict, solve_right, vstack)
 
 # A relation is a sum of terms; each term is (integer coefficient, word),
 # a word being a nonempty tuple of generator indices.  Integer coefficients
@@ -301,43 +301,39 @@ def intertwiner_system(m: Representation, n: Representation,
     column = [None] * (dn * dm)
     for k, flat in enumerate(support):
         column[flat] = k
-    add, sub, is_zero = fld.add, fld.sub, fld.is_zero
+    add, sub, zero = fld.add, fld.sub, fld.zero
     rows = []
     for a, b in zip(m.mats, n.mats):
-        b_rows = [[(r, v) for r, v in enumerate(row) if not is_zero(v)]
-                  for row in b.data]
-        a_cols = [[(c, v) for c, v in enumerate(col) if not is_zero(v)]
-                  for col in zip(*a.data)]
-        for i, b_row in enumerate(b_rows):
+        a_cols = a.transpose().entries
+        for i, b_row in enumerate(b.entries):
             for j, a_col in enumerate(a_cols):
-                row = [fld.zero] * nvars
-                written = []
-                for r, v in b_row:
+                acc = {}
+                for r, v in zip(*b_row):
                     k = column[r * dm + j]
                     if k is not None:
-                        row[k] = add(row[k], v)
-                        written.append(k)
-                for c, v in a_col:
+                        acc[k] = add(acc.get(k, zero), v)
+                for c, v in zip(*a_col):
                     k = column[i * dm + c]
                     if k is not None:
-                        row[k] = sub(row[k], v)
-                        written.append(k)
-                if any(not is_zero(row[k]) for k in written):
+                        acc[k] = sub(acc.get(k, zero), v)
+                row = row_from_dict(acc)
+                if row[0]:
                     rows.append(row)
-    return Matrix(fld, len(rows), nvars, rows)
+    return Matrix._from_entries(fld, len(rows), nvars, rows)
 
 
-def unflatten(fld, rows: int, cols: int, values: Sequence,
+def unflatten(fld, rows: int, cols: int, vector: tuple,
               support: Optional[Sequence[int]] = None) -> Matrix:
-    """The rows x cols matrix holding ``values[k]`` at row-major index
-    ``support[k]`` (default: every index in order) and zero elsewhere."""
+    """The rows x cols matrix holding entry k of the stored row ``vector``
+    at row-major index ``support[k]`` (default: every index in order) and
+    zero elsewhere."""
     if support is None:
         support = range(rows * cols)
-    flat = [fld.zero] * (rows * cols)
-    for k, v in zip(support, values):
-        flat[k] = v
-    return Matrix(fld, rows, cols,
-                  [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+    out = [{} for _ in range(rows)]
+    for k, v in zip(*vector):
+        i, j = divmod(support[k], cols)
+        out[i][j] = v
+    return Matrix._from_entries(fld, rows, cols, [row_from_dict(row) for row in out])
 
 
 def intertwiner_basis(m: Representation, n: Representation,
@@ -345,8 +341,8 @@ def intertwiner_basis(m: Representation, n: Representation,
     """Canonical basis of the intertwiners m -> n supported on ``support``
     (see ``intertwiner_system``), read off the kernel echelon form."""
     ker = kernel(intertwiner_system(m, n, support))
-    return [unflatten(m.field, n.dim, m.dim, ker.basis.column(j), support)
-            for j in range(ker.dim)]
+    return [unflatten(m.field, n.dim, m.dim, vec, support)
+            for vec in ker.basis.transpose().entries]
 
 
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:

@@ -259,7 +259,7 @@ def compose_certificates(c1: RiedtmannCertificate,
     if sol is None:
         raise NoLift("no module map (s; t) with q1 o (s; t) = g2 exists; "
                      "composition by this construction is unavailable")
-    lift = unflatten(fld, dxm, dw, sol.column(0))
+    lift = unflatten(fld, dxm, dw, sol.transpose().entries[0])
     dx, da = c1.x.dim, c1.m.dim
     sigma = lift.submatrix(range(dx), range(dw))
     tau = lift.submatrix(range(dx, dxm), range(dw))

@@ -19,7 +19,7 @@ from .fields import GF, INT_RE, QQ
 from .algebras import (AlgebraPresentation, ModuleMap, Representation,
                        Submodule)
 from .degeneration import RiedtmannCertificate
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, row_from_dense
 from .series import CompositionSeries, ModuleChain
 from .ladders import LadderCertificate, ladder_from_columns
 
@@ -90,13 +90,13 @@ def _parse_matrix(obj, fld, rows: int, cols, path: str) -> Matrix:
         if obj and not isinstance(obj[0], list):
             _fail("row 0 must be a list", f"{path}[0]")
         cols = len(obj[0]) if obj else 0
-    data = []
+    entries = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             _fail(f"row {i} must have {cols} entries", f"{path}[{i}]")
-        data.append([_parse_scalar(v, fld, f"{path}[{i}][{j}]")
-                     for j, v in enumerate(row)])
-    return Matrix(fld, rows, cols, data)
+        entries.append(row_from_dense([_parse_scalar(v, fld, f"{path}[{i}][{j}]")
+                                       for j, v in enumerate(row)]))
+    return Matrix._from_entries(fld, rows, cols, entries)
 
 
 def _parse_algebra(obj, path: str) -> AlgebraPresentation:

@@ -116,6 +116,8 @@ def verify_ladder(lc: LadderCertificate) -> Report:
         items.append(CheckItem(
             f"h_{i + 1} intertwines", joins and hm.is_intertwiner(),
             "" if joins else "it does not run between the columns' X slots"))
+        if not joins:
+            continue
         mid = block_diag(hm.mat, lc.m_chain.inclusions[i].mat)
         top_left = cols[i + 1].column_map() @ hm.mat
         top_right = mid @ cols[i].column_map()
@@ -336,13 +338,14 @@ def psi_embed(tri: TriangularRep) -> Representation:
 
     def place(*blocks) -> Matrix:
         """The a x a matrix holding each (mat, i, j) on the rows of stage i
-        and the columns of stage j, and zero elsewhere."""
-        out = [[fld.zero] * a for _ in range(a)]
+        and the columns of stage j, and zero elsewhere; no two blocks
+        share a stage's rows."""
+        out = [((), ())] * a
         for mat, i, j in blocks:
             r0, c0 = i * (i - 1) // 2, j * (j - 1) // 2
-            for k, row in enumerate(mat.data):
-                out[r0 + k][c0:c0 + mat.cols] = row
-        return Matrix(fld, a, a, out)
+            for k, (cols, vals) in enumerate(mat.entries, r0):
+                out[k] = tuple([c0 + c for c in cols]), vals
+        return Matrix._from_entries(fld, a, a, out)
 
     stages = list(enumerate(chain.stages, 1))
     mats = [place(*[(stage.mats[g], i, i) for i, stage in stages])

@@ -1,11 +1,14 @@
 """Exact matrices and canonical subspaces.
 
-Matrices are stored densely, as tuples of field elements, and products
-run over the nonzero entries of both factors through the field object.
-Elimination (``rref`` and ``EchelonTracker``) runs on rows of plain ints
-instead: canonical residues over GF(p), and over QQ each row cleared of
-denominators and reduced fraction-free, with its content divided out
-after every step; only the final pivot rows become ``Fraction``s again.
+Matrices are stored row-sparse: each row once, as the columns of its
+nonzero entries in increasing order and their values, with no dense
+copy.  Products, sums, transposes, stacks and slices run over the stored
+entries only, and products call the field object once per multiply and
+once per add.  Elimination (``rref`` and ``EchelonTracker``) runs on rows
+of plain ints instead: canonical residues over GF(p), and over QQ each
+row cleared of denominators and reduced fraction-free, with its content
+divided out after every step; only the final pivot rows become
+``Fraction``s again.
 
 Everything here is immutable and pure.  Subspaces are kept in a canonical
 reduced column echelon basis so that two subspaces are equal if and only
@@ -18,30 +21,80 @@ derived bases are reproducible bit for bit across runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, NotContained
 
 
-class Matrix:
-    """An immutable rows x cols matrix with entries in a fixed field."""
+# Stored rows are built as lists and then copied into tuples of the exact
+# size: ``tuple()`` of an iterator grows its result by reallocation, and
+# on interleaved QQ and GF(p) eliminations that churn fragments the
+# small-object heap enough to raise the peak RSS measurably.
 
-    __slots__ = ("field", "rows", "cols", "data")
+def row_from_dense(values: Sequence) -> tuple:
+    """The stored form of a dense row of canonical field elements: the
+    tuple of its nonzero entries' columns and the tuple of their values."""
+    return (tuple([*compress(range(len(values)), values)]),
+            tuple([*filter(None, values)]))
+
+
+def row_from_dict(acc: dict) -> tuple:
+    """The stored form of a row given as a dict from column to value:
+    its nonzero values in increasing column order."""
+    cols = sorted(acc)
+    vals = [acc[j] for j in cols]
+    if all(vals):
+        return tuple(cols), tuple(vals)
+    return tuple([j for j, v in zip(cols, vals) if v]), tuple([*filter(None, vals)])
+
+
+def _dense(row: tuple, n: int, zero) -> tuple:
+    """The length-``n`` dense row of a stored row."""
+    out = [zero] * n
+    for j, v in zip(*row):
+        out[j] = v
+    return tuple(out)
+
+
+class Matrix:
+    """An immutable rows x cols matrix with entries in a fixed field.
+
+    ``entries`` holds one stored row per row: the pair of tuples
+    ``(columns, values)`` of its nonzero entries, in increasing column
+    order.  Values are canonical field elements, so a value is zero
+    exactly when it is falsy.  ``data`` is the dense view, built anew on
+    every read.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field, rows: int, cols: int, data):
+        coerce = field.coerce
+        data = [[coerce(v) for v in row] for row in data]
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise DimensionMismatch("matrix data does not match declared shape")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = tuple(tuple(row) for row in data)
-        if len(self.data) != rows or any(len(r) != cols for r in self.data):
-            raise DimensionMismatch("matrix data does not match declared shape")
+        self.entries = tuple([row_from_dense(row) for row in data])
+
+    @classmethod
+    def _from_entries(cls, field, rows: int, cols: int, entries) -> "Matrix":
+        """The matrix with the stored rows ``entries`` (a list or tuple),
+        taken as they are."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = tuple(entries)
+        return m
 
     @classmethod
     def from_rows(cls, field, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
-        rows = [[field.coerce(v) for v in row] for row in rows]
         if rows:
             cols = len(rows[0])
         elif cols is None:
@@ -54,18 +107,17 @@ class Matrix:
             rows = len(columns[0])
         elif rows is None:
             raise DimensionMismatch("empty matrix needs an explicit row count")
-        data = [[field.coerce(col[i]) for col in columns] for i in range(rows)]
-        return cls(field, rows, len(columns), data)
+        return cls(field, rows, len(columns),
+                   [[col[i] for col in columns] for i in range(rows)])
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls._from_entries(field, rows, cols, (((), ()),) * rows)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        one = (field.one,)
+        return cls._from_entries(field, n, n, [((i,), one) for i in range(n)])
 
     @classmethod
     def column_vector(cls, field, entries: Sequence) -> "Matrix":
@@ -73,8 +125,14 @@ class Matrix:
 
     @classmethod
     def unit_vector(cls, field, n: int, i: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, n, 1, [[o if j == i else z] for j in range(n)])
+        one = ((0,), (field.one,))
+        return cls._from_entries(field, n, 1, [one if j == i else ((), ()) for j in range(n)])
+
+    @property
+    def data(self) -> tuple:
+        """The dense rows, as tuples of field elements."""
+        zero = self.field.zero
+        return tuple([_dense(row, self.cols, zero) for row in self.entries])
 
     def _check_same_field(self, other: "Matrix"):
         if self.field != other.field:
@@ -87,17 +145,25 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
         add = self.field.add
-        return Matrix(self.field, self.rows, self.cols,
-                      [[add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        out = []
+        for ra, rb in zip(self.entries, other.entries):
+            if not (ra[0] and rb[0]):
+                out.append(ra if ra[0] else rb)
+                continue
+            acc = dict(zip(*ra))
+            for j, b in zip(*rb):
+                acc[j] = add(acc[j], b) if j in acc else b
+            out.append(row_from_dict(acc))
+        return Matrix._from_entries(self.field, self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols,
-                      [[neg(a) for a in row] for row in self.data])
+        return Matrix._from_entries(self.field, self.rows, self.cols,
+                                    [(cols, tuple([neg(v) for v in vals]))
+                                     for cols, vals in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -105,66 +171,79 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
-        add, mul, is_zero, zero = f.add, f.mul, f.is_zero, f.zero
+        add, mul, zero = f.add, f.mul, f.zero
         # Row-sparse (Gustavson) product: row i of the result accumulates
-        # a . other[k] over the nonzero a = self[i][k] only, and each
-        # other[k] contributes only its nonzero entries.
-        other_nonzeros = [[(j, b) for j, b in enumerate(row) if not is_zero(b)]
-                          for row in other.data]
+        # a . other[k] over the stored a = self[i][k] and the stored
+        # entries of other[k] only.
+        right = other.entries
         out = []
-        for row in self.data:
-            acc = [zero] * other.cols
-            for a, nonzeros in zip(row, other_nonzeros):
-                if nonzeros and not is_zero(a):
-                    for j, b in nonzeros:
-                        acc[j] = add(acc[j], mul(a, b))
-            out.append(acc)
-        return Matrix(f, self.rows, other.cols, out)
+        for cols, vals in self.entries:
+            acc = {}
+            for k, a in zip(cols, vals):
+                for j, b in zip(*right[k]):
+                    acc[j] = add(acc.get(j, zero), mul(a, b))
+            out.append(row_from_dict(acc) if acc else ((), ()))
+        return Matrix._from_entries(f, self.rows, other.cols, out)
 
     def scale(self, scalar) -> "Matrix":
         scalar = self.field.coerce(scalar)
+        if not scalar:
+            return Matrix.zeros(self.field, self.rows, self.cols)
         mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols,
-                      [[mul(scalar, a) for a in row] for row in self.data])
+        return Matrix._from_entries(self.field, self.rows, self.cols,
+                                    [(cols, tuple([mul(scalar, v) for v in vals]))
+                                     for cols, vals in self.entries])
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0 or self.cols == 0:
-            return Matrix.zeros(self.field, self.cols, self.rows)
-        return Matrix(self.field, self.cols, self.rows, list(zip(*self.data)))
+        rows = [[] for _ in range(self.cols)]
+        vals = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, v in zip(*row):
+                rows[j].append(i)
+                vals[j].append(v)
+        return Matrix._from_entries(self.field, self.cols, self.rows,
+                                    [(tuple(r), tuple(v)) for r, v in zip(rows, vals)])
 
     # -- structure ----------------------------------------------------
 
     def entry(self, i: int, j: int):
-        return self.data[i][j]
+        cols, vals = self.entries[i]
+        k = bisect_left(cols, j)
+        return vals[k] if k < len(cols) and cols[k] == j else self.field.zero
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
+        return tuple([self.entry(i, j) for i in range(self.rows)])
 
     def column_matrix(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.rows, 1, [[row[j]] for row in self.data])
+        return self.submatrix(range(self.rows), (j,))
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        zero = self.field.zero
+        return [_dense(col, self.rows, zero) for col in self.transpose().entries]
 
     def submatrix(self, row_range, col_range) -> "Matrix":
-        rows = [[self.data[i][j] for j in col_range] for i in row_range]
-        return Matrix(self.field, len(list(row_range)), len(list(col_range)), rows)
+        rows = [self.entries[i] for i in row_range]
+        if col_range != range(self.cols):
+            where = {}
+            for k, c in enumerate(col_range):
+                where.setdefault(c, []).append(k)
+            rows = [row_from_dict({k: v for j, v in zip(*row) for k in where.get(j, ())})
+                    for row in rows]
+        return Matrix._from_entries(self.field, len(rows), len(col_range), rows)
 
     def is_zero(self) -> bool:
-        z = self.field.is_zero
-        return all(z(a) for row in self.data for a in row)
+        return not any(cols for cols, _ in self.entries)
 
     def is_upper_triangular(self) -> bool:
-        z = self.field.is_zero
-        return all(z(self.data[i][j]) for i in range(self.rows) for j in range(min(i, self.cols)))
+        return all(not cols or cols[0] >= i for i, (cols, _) in enumerate(self.entries))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.data))
+        return hash((self.field, self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(a) for a in row) for row in self.data)
@@ -178,54 +257,69 @@ class Matrix:
         return self.rank() == self.cols
 
 
+def _check_fields(mats: Sequence[Matrix]):
+    for m in mats[1:]:
+        mats[0]._check_same_field(m)
+
+
+def _shifted(row: tuple, offset: int) -> tuple:
+    """A stored row moved ``offset`` columns to the right."""
+    cols, vals = row
+    return tuple([offset + j for j in cols]), vals
+
+
 def hstack(*mats: Matrix) -> Matrix:
-    mats = [m for m in mats]
+    _check_fields(mats)
     rows = mats[0].rows
-    field = mats[0].field
+    if any(m.rows != rows for m in mats):
+        raise DimensionMismatch("hstack row mismatch")
+    offsets = [0]
     for m in mats:
-        if m.rows != rows:
-            raise DimensionMismatch("hstack row mismatch")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return Matrix(field, rows, sum(m.cols for m in mats), data)
+        offsets.append(offsets[-1] + m.cols)
+    out = []
+    for (cols, vals), *parts in zip(*(m.entries for m in mats)):
+        for row, offset in zip(parts, offsets[1:]):
+            if row[0]:
+                row_cols, row_vals = _shifted(row, offset)
+                cols += row_cols
+                vals += row_vals
+        out.append((cols, vals))
+    return Matrix._from_entries(mats[0].field, rows, offsets[-1], out)
 
 
 def vstack(*mats: Matrix) -> Matrix:
+    _check_fields(mats)
     cols = mats[0].cols
-    field = mats[0].field
-    for m in mats:
-        if m.cols != cols:
-            raise DimensionMismatch("vstack column mismatch")
-    data = [row for m in mats for row in m.data]
-    return Matrix(field, sum(m.rows for m in mats), cols, data)
+    if any(m.cols != cols for m in mats):
+        raise DimensionMismatch("vstack column mismatch")
+    out = [row for m in mats for row in m.entries]
+    return Matrix._from_entries(mats[0].field, len(out), cols, out)
 
 
 def block_diag(*mats: Matrix) -> Matrix:
-    field = mats[0].field
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[field.zero] * cols for _ in range(rows)]
-    r = c = 0
+    _check_fields(mats)
+    out = []
+    offset = 0
     for m in mats:
-        for i, row in enumerate(m.data):
-            out[r + i][c:c + m.cols] = row
-        r += m.rows
-        c += m.cols
-    return Matrix(field, rows, cols, out)
+        out.extend(_shifted(row, offset) for row in m.entries)
+        offset += m.cols
+    return Matrix._from_entries(mats[0].field, len(out), offset, out)
 
 
-def _int_row(row, p: int, zero) -> list:
-    """``row`` as plain ints: canonical residues over GF(p); over QQ (``p``
-    is 0) the row times the lcm of its nonzero entries' denominators.
-    Most QQ zeros are the field's shared ``zero``, which an identity test
-    skips without a ``Fraction`` method call."""
+def _int_row(row: tuple, n: int, p: int) -> list:
+    """The length-``n`` int form of a stored row: canonical residues over
+    GF(p) as they are; over QQ (``p`` is 0) the row times the lcm of its
+    values' denominators."""
+    out = [0] * n
+    cols, vals = row
     if p:
-        return [v % p for v in row]
-    ratios = [(j, v.as_integer_ratio()) for j, v in enumerate(row)
-              if v is not zero and v]
-    den = lcm(*[d for _, (_, d) in ratios])
-    out = [0] * len(row)
-    for j, (n, d) in ratios:
-        out[j] = n * (den // d)
+        for j, v in zip(cols, vals):
+            out[j] = v
+        return out
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = lcm(*[d for _, d in ratios])
+    for j, (num, d) in zip(cols, ratios):
+        out[j] = num * (den // d)
     return out
 
 
@@ -282,7 +376,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """
     field = m.field
     p = field.characteristic
-    a = [_int_row(row, p, field.zero) for row in m.data]
+    a = [_int_row(row, m.cols, p) for row in m.entries]
     pivots = []
     r = 0
     for c in range(m.cols):
@@ -301,14 +395,11 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
                 a[i] = _eliminate(row, c, nonzeros, p)
         pivots.append(c)
         r += 1
+    out = [row_from_dense(row) for row in a[:r]]
     if not p:
-        # A pivot row is zero left of its pivot c and one at c.
-        zero, one = field.zero, field.one
-        a = [[zero] * c + [one]
-             + [Fraction(v, row[c]) if v else zero for v in row[c + 1:]]
-             for row, c in zip(a, pivots)]
-        a.extend([zero] * m.cols for _ in range(m.rows - r))
-    return Matrix(field, m.rows, m.cols, a), r, tuple(pivots)
+        out = [(cols, tuple([Fraction(v, vals[0]) for v in vals])) for cols, vals in out]
+    out.extend([((), ())] * (m.rows - r))
+    return Matrix._from_entries(field, m.rows, m.cols, out), r, tuple(pivots)
 
 
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -323,11 +414,13 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     ech, _, pivots = rref(aug)
     if any(p >= a.cols for p in pivots):
         return None
-    field = a.field
-    out = [[field.zero] * b.cols for _ in range(a.cols)]
+    n = a.cols
+    out = [((), ())] * n
     for r, p in enumerate(pivots):
-        out[p] = list(ech.data[r][a.cols:])
-    return Matrix(field, a.cols, b.cols, out)
+        cols, vals = ech.entries[r]
+        k = bisect_left(cols, n)
+        out[p] = tuple([j - n for j in cols[k:]]), vals[k:]
+    return Matrix._from_entries(a.field, n, b.cols, out)
 
 
 def inverse(a: Matrix) -> Optional[Matrix]:
@@ -380,7 +473,8 @@ class EchelonTracker:
 
     def _reduce(self, entries: Iterable) -> list:
         f = self.field
-        vec = _int_row([f.coerce(v) for v in entries], f.characteristic, f.zero)
+        values = [f.coerce(v) for v in entries]
+        vec = _int_row(row_from_dense(values), len(values), f.characteristic)
         for c in sorted(self.rows):
             if vec[c]:
                 vec = _eliminate(vec, c, self.rows[c], f.characteristic)
@@ -419,9 +513,7 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, mat: Matrix) -> "Subspace":
-        ech, rank, _ = rref(mat.transpose())
-        basis = Matrix(mat.field, rank, mat.rows, ech.data[:rank]).transpose()
-        return cls(mat.field, mat.rows, basis)
+        return _row_span(mat.transpose())
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
@@ -454,8 +546,13 @@ class Subspace:
     def pivot_rows(self) -> list[int]:
         """The rows of the basis columns' leading ones; the basis is the
         identity on them."""
-        return [next(i for i, v in enumerate(col) if not self.field.is_zero(v))
-                for col in self.basis.columns()]
+        # Column k's pivot row is the first row whose last entry is in
+        # column k: later columns are zero there, column k is not.
+        out = []
+        for i, (cols, _) in enumerate(self.basis.entries):
+            if cols and cols[-1] == len(out):
+                out.append(i)
+        return out
 
     def coordinates(self, mat: Matrix) -> Optional[Matrix]:
         """The X with ``basis @ X = mat``: ``mat`` read at the pivot rows,
@@ -500,16 +597,17 @@ class Subspace:
         if not within.contains(self):
             raise NotContained("subspace is not contained in the given space")
         tracker = EchelonTracker(self.field, self.ambient_dim)
-        for j in range(self.dim):
-            tracker.add(self.basis.column(j))
+        for col in self.basis.columns():
+            tracker.add(col)
         need = within.dim - self.dim
         chosen = []
         if need > 0:
             # In reduced column echelon form e_i lies in ``within`` iff it
             # is a basis column, one with a single nonzero entry.
             candidates = within.basis.columns()
-            candidates[:0] = [c for c in candidates
-                              if sum(not self.field.is_zero(v) for v in c) == 1]
+            candidates[:0] = [c for c, (rows, _) in
+                              zip(candidates, within.basis.transpose().entries)
+                              if len(rows) == 1]
             for cand in candidates:
                 if tracker.add(cand):
                     chosen.append(cand)
@@ -518,20 +616,29 @@ class Subspace:
         return Matrix.from_columns(self.field, chosen, rows=self.ambient_dim)
 
 
+def _row_span(m: Matrix) -> Subspace:
+    """The span of the rows of ``m`` in k^cols: its canonical basis is the
+    transpose of the nonzero rows of ``rref(m)``."""
+    ech, rank, _ = rref(m)
+    rows = Matrix._from_entries(m.field, rank, m.cols, ech.entries[:rank])
+    return Subspace(m.field, m.cols, rows.transpose())
+
+
 def kernel(m: Matrix) -> Subspace:
-    """The solution space of m . v = 0 inside k^cols."""
-    ech, rank, pivots = rref(m)
+    """The solution space of m . v = 0 inside k^cols.
+
+    One solution per free column j: one at j and minus column j of the
+    echelon form at the pivot columns, which all lie left of j; these
+    rows are then reduced to the canonical basis."""
+    ech, _, pivots = rref(m)
     field = m.field
+    neg, one = field.neg, field.one
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    cols = []
-    for j in free:
-        v = [field.zero] * m.cols
-        v[j] = field.one
-        for r, p in enumerate(pivots):
-            v[p] = field.neg(ech.data[r][j])
-        cols.append(v)
-    return Subspace.from_columns(Matrix(field, len(cols), m.cols, cols).transpose())
+    solutions = [(tuple([pivots[r] for r in rows] + [j]),
+                  tuple([neg(v) for v in vals] + [one]))
+                 for j, (rows, vals) in enumerate(ech.transpose().entries)
+                 if j not in pivot_set]
+    return _row_span(Matrix._from_entries(field, len(solutions), m.cols, solutions))
 
 
 def image(m: Matrix) -> Subspace:

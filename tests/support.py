@@ -266,3 +266,53 @@ def random_strict_triangular_nilpotent(fld, rng: random.Random, d: int):
           for c in range(d)] for r in range(d)]
     ident = [[int(r == c) for c in range(d)] for r in range(d)]
     return make_rep(truncated_polynomial_algebra(d), fld, [ident, x])
+
+
+# Dense references for the row-sparse matrix operations: each works on the
+# dense rows of ``Matrix.data`` (lists of lists) with one field call per
+# cell, and returns dense rows.
+
+def dense_rows(m: Matrix) -> list[list]:
+    return [list(row) for row in m.data]
+
+
+def dense_transpose(a: list[list], cols: int) -> list[list]:
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def dense_submatrix(a: list[list], rows, cols) -> list[list]:
+    return [[a[i][j] for j in cols] for i in rows]
+
+
+def dense_add(fld, a: list[list], b: list[list]) -> list[list]:
+    return [[fld.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_sub(fld, a: list[list], b: list[list]) -> list[list]:
+    return [[fld.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(fld, scalar, a: list[list]) -> list[list]:
+    return [[fld.mul(scalar, x) for x in row] for row in a]
+
+
+def dense_hstack(a: list[list], b: list[list]) -> list[list]:
+    return [ra + rb for ra, rb in zip(a, b)]
+
+
+def dense_vstack(a: list[list], b: list[list]) -> list[list]:
+    return a + b
+
+
+def dense_block_diag(fld, a: list[list], a_cols: int,
+                     b: list[list], b_cols: int) -> list[list]:
+    return ([row + [fld.zero] * b_cols for row in a]
+            + [[fld.zero] * a_cols + row for row in b])
+
+
+def dense_is_zero(fld, a: list[list]) -> bool:
+    return all(fld.is_zero(x) for row in a for x in row)
+
+
+def dense_is_upper_triangular(fld, a: list[list]) -> bool:
+    return all(fld.is_zero(x) for i, row in enumerate(a) for x in row[:i])

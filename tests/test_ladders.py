@@ -1,6 +1,7 @@
 """Ladder certificates, monicization, deformation families, the
 upper-triangular embedding and orbit dimensions."""
 
+import dataclasses
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from moddeg.fixtures import (kron_r2_mu, kron_r2_nu, ladder_nilp3_corner,
                              mu_corner_triangular, nu_prime_triangular,
                              nu_shift_triangular, regular_module,
                              simple_module, trivial_ladder,
-                             truncated_polynomial_algebra)
+                             truncated_polynomial_algebra, y_module)
 from moddeg.series import ModuleChain, TriangularRep, chain_to_triangular
 from moddeg.oracles import nilpotent_degenerates, nilpotent_rank_profile
 
@@ -29,6 +30,16 @@ KX2 = truncated_polynomial_algebra(2)
 def test_both_shipped_ladders_verify():
     assert verify_ladder(ladder_nilp3_corner(QQ)).ok
     assert verify_ladder(ladder_nilp3_shift(QQ)).ok
+
+
+def test_h_map_off_the_x_slots_is_a_failed_item_not_a_crash():
+    lad = ladder_nilp3_corner(QQ)
+    bad = dataclasses.replace(
+        lad, h=(ModuleMap.identity(y_module(QQ)),) + lad.h[1:])
+    report = verify_ladder(bad)
+    assert [it.name for it in report.failures()] == ["h_1 intertwines"]
+    with pytest.raises(VerificationFailed):
+        make_monic(bad)
 
 
 def test_single_column_ladder_is_certificate_check():

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moddeg.algebras import hom_dim
-from moddeg.errors import NotContained
+from moddeg.errors import FieldMismatch, NotContained
 from moddeg.fields import GF, QQ, PrimeField
 from moddeg.fixtures import jordan_module
-from moddeg.linalg import (EchelonTracker, Matrix, Subspace, hstack, inverse,
-                           kernel, preimage, rref, solve_right)
+from moddeg.linalg import (EchelonTracker, Matrix, Subspace, block_diag, hstack,
+                           inverse, kernel, preimage, rref, solve_right, vstack)
 
-from support import (all_vectors, dense_matmul, dense_rref, independent_rank,
-                     random_matrix, random_subspace)
+from support import (all_vectors, dense_add, dense_block_diag, dense_hstack,
+                     dense_is_upper_triangular, dense_is_zero, dense_matmul,
+                     dense_rows, dense_rref, dense_scale, dense_sub,
+                     dense_submatrix, dense_transpose, dense_vstack,
+                     independent_rank, random_matrix, random_subspace)
 
 F2 = GF(2)
 F101 = GF(101)
@@ -404,3 +407,89 @@ def test_hom_dim_field_operation_counts():
     assert fld.calls["add"] <= 216
     assert fld.calls["sub"] <= 252
     assert fld.calls["mul"] <= 72
+
+
+@pytest.mark.parametrize("stack", [hstack, vstack, block_diag])
+def test_stacking_rejects_mixed_fields(stack):
+    with pytest.raises(FieldMismatch):
+        stack(Matrix.identity(QQ, 2), Matrix.identity(GF(3), 2))
+
+
+@st.composite
+def dense_inputs(draw, fld=None, rows=None, cols=None):
+    """``(field, dense rows, cols)``: canonical entries in a 0..7 x 0..7
+    shape, each nonzero with probability 0, 0.05, 0.3 or 1."""
+    if fld is None:
+        fld = draw(st.sampled_from(FIELDS))
+    if rows is None:
+        rows = draw(st.integers(0, 7))
+    if cols is None:
+        cols = draw(st.integers(0, 7))
+    density = draw(st.sampled_from([0, 0.05, 0.3, 1]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def cell():
+        if rng.random() >= density:
+            return fld.zero
+        if fld == QQ:
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        return rng.randrange(1, fld.p)
+    return fld, [[cell() for _ in range(cols)] for _ in range(rows)], cols
+
+
+def assert_stored_rows_canonical(m):
+    """Each stored row lists its columns in increasing order, inside the
+    matrix, with one nonzero value per column."""
+    assert len(m.entries) == m.rows
+    for cols, vals in m.entries:
+        assert len(cols) == len(vals)
+        assert list(cols) == sorted(set(cols))
+        assert all(0 <= j < m.cols for j in cols)
+        assert not any(m.field.is_zero(v) for v in vals)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_row_sparse_storage_matches_dense_references(data):
+    fld, rows, nc = data.draw(dense_inputs())
+    nr = len(rows)
+    m = Matrix.from_rows(fld, rows, cols=nc)
+    assert_stored_rows_canonical(m)
+    assert m.data == tuple(map(tuple, rows))
+    assert all(type(v) is type(fld.zero) for row in m.data for v in row)
+
+    _, other, _ = data.draw(dense_inputs(fld, nr, nc))
+    b = Matrix.from_rows(fld, other, cols=nc)
+    for twin in (other, [list(row) for row in rows]):
+        same = Matrix(fld, nr, nc, twin)
+        assert (m == same) == (twin == rows)
+        if twin == rows:
+            assert hash(m) == hash(same)
+
+    pick_rows = data.draw(st.lists(st.integers(0, nr - 1), max_size=7)) if nr else []
+    pick_cols = data.draw(st.one_of(st.just(range(nc)),
+                                    st.lists(st.integers(0, nc - 1), max_size=7))
+                          ) if nc else range(0)
+    scalar = data.draw(st.sampled_from([0, 1, -1, 2]))
+    _, right, right_cols = data.draw(dense_inputs(fld, rows=nr))
+    _, below, _ = data.draw(dense_inputs(fld, cols=nc))
+    _, corner, corner_cols = data.draw(dense_inputs(fld))
+    results = [
+        (m.transpose(), dense_transpose(rows, nc)),
+        (m.submatrix(pick_rows, pick_cols), dense_submatrix(rows, pick_rows, pick_cols)),
+        (m + b, dense_add(fld, rows, other)),
+        (m - b, dense_sub(fld, rows, other)),
+        (m.scale(scalar), dense_scale(fld, fld.coerce(scalar), rows)),
+        (hstack(m, Matrix.from_rows(fld, right, cols=right_cols)),
+         dense_hstack(rows, right)),
+        (vstack(m, Matrix.from_rows(fld, below, cols=nc)), dense_vstack(rows, below)),
+        (block_diag(m, Matrix.from_rows(fld, corner, cols=corner_cols)),
+         dense_block_diag(fld, rows, nc, corner, corner_cols)),
+    ]
+    for result, reference in results:
+        assert_stored_rows_canonical(result)
+        assert dense_rows(result) == reference
+    assert m.columns() == [tuple(col) for col in dense_transpose(rows, nc)]
+    assert [m.column(j) for j in range(nc)] == m.columns()
+    assert m.is_zero() == dense_is_zero(fld, rows)
+    assert m.is_upper_triangular() == dense_is_upper_triangular(fld, rows)
