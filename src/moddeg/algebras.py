@@ -11,6 +11,7 @@ never symbolically.  Module elements are column vectors and a word
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -301,21 +302,23 @@ def intertwiner_system(m: Representation, n: Representation,
     column = [None] * (dn * dm)
     for k, flat in enumerate(support):
         column[flat] = k
-    add, sub, zero = fld.add, fld.sub, fld.zero
+    sub, neg = fld.sub, fld.neg
     rows = []
     for a, b in zip(m.mats, n.mats):
         a_cols = a.transpose().entries
         for i, b_row in enumerate(b.entries):
             for j, a_col in enumerate(a_cols):
+                # The n_g terms sit at distinct unknowns, and so do the
+                # m_g terms; the two meet at most at H[i][j].
                 acc = {}
                 for r, v in zip(*b_row):
                     k = column[r * dm + j]
                     if k is not None:
-                        acc[k] = add(acc.get(k, zero), v)
+                        acc[k] = v
                 for c, v in zip(*a_col):
                     k = column[i * dm + c]
                     if k is not None:
-                        acc[k] = sub(acc.get(k, zero), v)
+                        acc[k] = sub(acc[k], v) if k in acc else neg(v)
                 row = row_from_dict(acc)
                 if row[0]:
                     rows.append(row)
@@ -326,14 +329,18 @@ def unflatten(fld, rows: int, cols: int, vector: tuple,
               support: Optional[Sequence[int]] = None) -> Matrix:
     """The rows x cols matrix holding entry k of the stored row ``vector``
     at row-major index ``support[k]`` (default: every index in order) and
-    zero elsewhere."""
-    if support is None:
-        support = range(rows * cols)
-    out = [{} for _ in range(rows)]
-    for k, v in zip(*vector):
-        i, j = divmod(support[k], cols)
-        out[i][j] = v
-    return Matrix._from_entries(fld, rows, cols, [row_from_dict(row) for row in out])
+    zero elsewhere; ``support`` must increase."""
+    flat, vals = vector
+    if support is not None:
+        flat = [support[k] for k in flat]
+    out = []
+    lo = 0
+    for i in range(rows):
+        start = i * cols
+        hi = bisect_left(flat, start + cols, lo)
+        out.append((tuple([k - start for k in flat[lo:hi]]), vals[lo:hi]))
+        lo = hi
+    return Matrix._from_entries(fld, rows, cols, out)
 
 
 def intertwiner_basis(m: Representation, n: Representation,
