@@ -1,11 +1,18 @@
 """Algebra presentations, representations, module maps and the standard
 module constructions (kernel, image, cokernel, direct sum, submodule,
-quotient), plus the intertwiner-space solver and isomorphism testing.
+quotient), plus the intertwiner solvers and isomorphism testing.
 
 A representation of dimension d assigns one d x d matrix to every declared
 generator; relations are checked by evaluating them on those matrices,
 never symbolically.  Module elements are column vectors and a word
 ``(i, j)`` in a relation acts as ``mats[i] @ mats[j]``.
+
+Hom(M, N) is solved by spinning M (``hom_spin``): an intertwiner is fixed
+by its values on the t roots from which the generators spin a basis of M,
+so ``hom_dim`` and ``hom_basis`` solve for t * dim N unknowns.
+``intertwiner_system`` keeps one unknown per entry of H, dim M * dim N of
+them, for intertwiners held to a support (the triangular Hom of
+``series``) and for the certificate lift of ``degeneration``.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from typing import Optional, Sequence
 
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      InternalInvariantViolation, NotSubmodule, Undecided)
-from .linalg import (Matrix, Subspace, block_diag, first_combination, hstack,
-                     image, inverse, kernel, row_from_dict, solve_right, vstack)
+from .linalg import (EchelonTracker, Matrix, Subspace, block_diag,
+                     first_combination, hstack, image, inverse, kernel,
+                     row_from_dict, rref, solve_right, vstack)
 
 # A relation is a sum of terms; each term is (integer coefficient, word),
 # a word being a nonempty tuple of generator indices.  Integer coefficients
@@ -352,17 +360,147 @@ def intertwiner_basis(m: Representation, n: Representation,
             for vec in ker.basis.transpose().entries]
 
 
+@dataclass(frozen=True)
+class HomSpin:
+    """The intertwiner equations of m -> n in the images of m's spin roots.
+
+    m is spun from greedy unit vectors e_0, e_1, .. under the generators
+    that are not the identity on both sides.  Column j of the spin basis B
+    is a root (``steps[j]`` is None) or m_g times an earlier column
+    (``steps[j]`` is ``(parent, g)``); ``root_of[j]`` numbers its root.  An
+    intertwiner H is fixed by the images h_k of the roots: H b_j = W_j h_k
+    for the root k of b_j, with W_j the word in the n_g that spun b_j.
+
+    ``equations`` has one block of rows per generator g and column b_j
+    whose image m_g b_j did not become a column:
+    n_g W_j h_{k_j} - sum_l c_l W_l h_{k_l} = 0, with c the coordinates of
+    m_g b_j in B.  Its unknowns are the h_k stacked, roots * n.dim of them;
+    identically zero rows are left out.  ``inverse`` is B^-1.
+    """
+
+    roots: int
+    steps: tuple
+    root_of: tuple
+    inverse: Matrix
+    equations: Matrix
+
+
+def hom_spin(m: Representation, n: Representation) -> HomSpin:
+    """The spin system of Hom(m, n) (see ``HomSpin``).  It never uses the
+    presentation's relations, so it serves any tuples of matrices."""
+    _check_compatible(m, n)
+    fld = m.field
+    dm, dn = m.dim, n.dim
+    one_m, one_n = Matrix.identity(fld, dm), Matrix.identity(fld, dn)
+    gens = [g for g, (a, b) in enumerate(zip(m.mats, n.mats))
+            if a != one_m or b != one_n]
+    tracker = EchelonTracker(fld, dm)
+    columns, steps, words, root_of = [], [], [], []
+    pending = []          # (g, j, m_g b_j) for every image already in the span
+    roots = 0
+    for i in range(dm):
+        if len(columns) == dm:
+            break
+        unit = Matrix.unit_vector(fld, dm, i)
+        if not tracker.add(unit.columns()[0]):
+            continue
+        j = len(columns)
+        columns.append(unit)
+        steps.append(None)
+        words.append(one_n)
+        root_of.append(roots)
+        roots += 1
+        while j < len(columns):
+            for g in gens:
+                vec = m.mats[g] @ columns[j]
+                if tracker.add(vec.columns()[0]):
+                    columns.append(vec)
+                    steps.append((j, g))
+                    words.append(n.mats[g] if steps[j] is None
+                                 else n.mats[g] @ words[j])
+                    root_of.append(root_of[j])
+                else:
+                    pending.append((g, j, vec))
+            j += 1
+    solved = solve_right(hstack(Matrix.zeros(fld, dm, 0), *columns),
+                         hstack(*[vec for _, _, vec in pending], one_m))
+    coords = solved.transpose().entries
+    sub, neg, mul = fld.sub, fld.neg, fld.mul
+    rows = []
+    for (g, j, _), (ls, cs) in zip(pending, coords):
+        lead = n.mats[g] if steps[j] is None else n.mats[g] @ words[j]
+        base = root_of[j] * dn
+        acc = [{base + s: v for s, v in zip(*row)} for row in lead.entries]
+        for l, c in zip(ls, cs):
+            base = root_of[l] * dn
+            for a, row in zip(acc, words[l].entries):
+                for s, w in zip(*row):
+                    cw = mul(c, w)
+                    k = base + s
+                    a[k] = sub(a[k], cw) if k in a else neg(cw)
+        for a in acc:
+            row = row_from_dict(a)
+            if row[0]:
+                rows.append(row)
+    npairs = len(pending)
+    return HomSpin(roots, tuple(steps), tuple(root_of),
+                   solved.submatrix(range(dm), range(npairs, npairs + dm)),
+                   Matrix._from_entries(fld, len(rows), roots * dn, rows))
+
+
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
-    """A canonical basis of the intertwiner space Hom(m, n); the basis
-    comes from the canonical kernel echelon form, so the output is
-    deterministic."""
-    return [ModuleMap(m, n, h) for h in intertwiner_basis(m, n)]
+    """The canonical basis of the intertwiner space Hom(m, n): the reduced
+    row echelon form of the row-major flattened maps, which is unique, so
+    the output is deterministic.
+
+    Each kernel vector of the spin system (``hom_spin``) gives the images
+    h_k of the roots; the blocks W_j K_{k_j} (n_g times the parent
+    column's block) hold H b_j for every kernel vector at once, and one
+    product with B^-1 turns them into the maps."""
+    spin = hom_spin(m, n)
+    fld = m.field
+    dm, dn = m.dim, n.dim
+    ker = kernel(spin.equations).basis
+    kb = ker.cols
+    if not kb:
+        return []
+    images = []           # H b_j for every kernel vector: a dn x kb block
+    for j, step in enumerate(spin.steps):
+        if step is None:
+            lo = spin.root_of[j] * dn
+            images.append(ker.submatrix(range(lo, lo + dn), range(kb)))
+        else:
+            parent, g = step
+            images.append(n.mats[g] @ images[parent])
+    # Row v * dn + r of ``spun`` is row r of H_v B, for kernel vector v.
+    spun_cols = [[] for _ in range(kb * dn)]
+    spun_vals = [[] for _ in range(kb * dn)]
+    for j, block in enumerate(images):
+        for r, row in enumerate(block.entries):
+            for v, x in zip(*row):
+                spun_cols[v * dn + r].append(j)
+                spun_vals[v * dn + r].append(x)
+    spun = Matrix._from_entries(fld, kb * dn, dm, [
+        (tuple(c), tuple(x)) for c, x in zip(spun_cols, spun_vals)])
+    maps = (spun @ spin.inverse).entries
+    flat = []
+    for v in range(kb):
+        cols, vals = [], []
+        for r in range(dn):
+            row_cols, row_vals = maps[v * dn + r]
+            cols += [r * dm + c for c in row_cols]
+            vals += row_vals
+        flat.append((tuple(cols), tuple(vals)))
+    # The maps are independent, so every row of the echelon form is nonzero.
+    ech = rref(Matrix._from_entries(fld, kb, dn * dm, flat))[0]
+    return [ModuleMap(m, n, unflatten(fld, dn, dm, row)) for row in ech.entries]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    """dim Hom(m, n), via the rank of the intertwiner system (cheaper
-    than materializing the basis)."""
-    return n.dim * m.dim - intertwiner_system(m, n).rank()
+    """dim Hom(m, n): the roots * n.dim unknowns of the spin system
+    (``hom_spin``) less its rank."""
+    spin = hom_spin(m, n)
+    return spin.roots * n.dim - spin.equations.rank()
 
 
 def conjugate(rep: Representation, basis: Matrix) -> Representation:

@@ -12,6 +12,7 @@ Each command is declared once, as an entry of ``COMMANDS``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -189,7 +190,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="moddeg",
         description="exact computations with module degenerations")

@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from moddeg import AlgebraPresentation, Matrix, Representation, Subspace
-from moddeg.fields import QQ
 
 
 def independent_rank(rows: list[list[Fraction]], p: int = 0) -> int:
@@ -89,9 +88,9 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def independent_hom_dim(m: Representation, n: Representation) -> int:
-    """Intertwiner-space dimension via a Kronecker-product system over the
-    rationals (only valid for rational representations, d <= 4)."""
-    assert m.field == QQ and n.field == QQ
+    """Intertwiner-space dimension via a Kronecker-product system, over the
+    rationals or, for a prime field, with its ranks taken mod p (meant for
+    d <= 6)."""
     dm, dn = m.dim, n.dim
     rows = []
     for a, b in zip(m.mats, n.mats):
@@ -110,7 +109,7 @@ def independent_hom_dim(m: Representation, n: Representation) -> int:
                 rows.append(row)
     if not rows or not rows[0]:
         return 0
-    return dn * dm - independent_rank(rows)
+    return dn * dm - independent_rank(rows, m.field.characteristic)
 
 
 def all_vectors(p: int, d: int):

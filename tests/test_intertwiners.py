@@ -1,14 +1,18 @@
-"""The shared intertwiner-system builder, cross-checked against independent
-oracles: brute-force counts of upper-triangular intertwiners over tiny
-prime fields, and the Kronecker-product solver in ``support``."""
+"""The intertwiner solvers, cross-checked against each other and against
+independent oracles: the spin system behind ``hom_dim`` and ``hom_basis``
+against the full-support system, brute-force counts of upper-triangular
+intertwiners over tiny prime fields, and the Kronecker-product solver in
+``support``."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from moddeg import direct_sum, hom_basis, series_isomorphic
-from moddeg.algebras import conjugate
+from moddeg import Representation, direct_sum, hom_basis, hom_dim, series_isomorphic
+from moddeg.algebras import conjugate, hom_spin, intertwiner_basis
 from moddeg.errors import AlgebraMismatch
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
@@ -23,6 +27,92 @@ from support import independent_hom_dim, random_invertible
 
 KX3 = truncated_polynomial_algebra(3)
 KRON = kronecker_algebra()
+FIELDS = {"QQ": QQ, "GF(2)": GF(2), "GF(101)": GF(101)}
+KINDS = ("identity", "idempotent", "zero", "sparse", "dense")
+
+
+def generator_matrix(fld, d: int, kind: str, rng) -> Matrix:
+    """A d x d matrix of one kind: the identity, a diagonal idempotent, zero,
+    or random entries with about a third or all of them nonzero."""
+    def cell():
+        if fld == QQ:
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        return rng.randrange(1, fld.p)
+    if kind == "identity":
+        rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    elif kind == "idempotent":
+        diag = [rng.randrange(2) for _ in range(d)]
+        rows = [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    else:
+        density = {"zero": 0, "sparse": 0.3, "dense": 1}[kind]
+        rows = [[cell() if rng.random() < density else 0 for _ in range(d)]
+                for _ in range(d)]
+    return Matrix(fld, d, d, rows)
+
+
+def tuple_rep(alg, fld, d: int, kinds, seed: int) -> Representation:
+    """One generator matrix per kind; the relations need not hold."""
+    rng = random.Random(seed)
+    return Representation(alg, fld, d, tuple(generator_matrix(fld, d, kind, rng)
+                                             for kind in kinds))
+
+
+def assert_spin_matches_full_system(m, n):
+    basis = [h.mat for h in hom_basis(m, n)]
+    assert basis == intertwiner_basis(m, n)
+    assert hom_dim(m, n) == len(basis) == independent_hom_dim(m, n)
+
+
+@st.composite
+def generator_tuples(draw):
+    """A pair of generator tuples for k[X]/(X^3) or the Kronecker quiver
+    over QQ, GF(2) or GF(101), of dimensions drawn independently."""
+    fld = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    alg = draw(st.sampled_from([KX3, KRON]))
+    return tuple(tuple_rep(alg, fld, draw(st.integers(0, 6)),
+                           draw(st.lists(st.sampled_from(KINDS),
+                                         min_size=len(alg.generators),
+                                         max_size=len(alg.generators))),
+                           draw(st.integers(0, 2 ** 30)))
+                 for _ in range(2))
+
+
+@given(generator_tuples())
+@settings(max_examples=120, deadline=None)
+@example((tuple_rep(KRON, GF(2), 5, ("idempotent",) * 4, 1),
+          tuple_rep(KRON, GF(2), 0, ("idempotent",) * 4, 1)))
+@example((tuple_rep(KX3, QQ, 0, ("identity", "dense"), 2),
+          tuple_rep(KX3, QQ, 4, ("identity", "dense"), 3)))
+def test_spin_hom_matches_full_system(pair):
+    assert_spin_matches_full_system(*pair)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_spin_hom_with_three_or_more_roots_matches_full_system(name):
+    fld = FIELDS[name]
+    rng = random.Random(len(name))
+    jordan = [conjugate(jordan_module(fld, 3, part),
+                        random_invertible(fld, rng, sum(part)))
+              for part in [(2, 1, 1), (1, 1, 1, 1), (2, 2, 1)]]
+    kron = [conjugate(rep, random_invertible(fld, rng, rep.dim)) for rep in (
+        direct_sum(direct_sum(kron_s1(fld), kron_s1(fld))[0],
+                   direct_sum(kron_s1(fld), kron_s2(fld))[0])[0],
+        direct_sum(direct_sum(kron_i2(fld), kron_s1(fld))[0], kron_s1(fld))[0])]
+    for pool in (jordan, kron):
+        for m in pool:
+            assert hom_spin(m, m).roots >= 3
+            for n in pool:
+                assert_spin_matches_full_system(m, n)
+
+
+def test_spin_system_of_a_conjugated_jordan_module_has_t_dim_n_unknowns():
+    fld = GF(101)
+    m = conjugate(jordan_module(fld, 3, (3, 3, 2)),
+                  random_invertible(fld, random.Random(8), 8))
+    spin = hom_spin(m, m)
+    assert spin.roots == 3
+    assert spin.equations.cols == 24 < m.dim * m.dim
+    assert hom_dim(m, m) == sum(min(a, b) for a in (3, 3, 2) for b in (3, 3, 2))
 
 
 def brute_upper_triangular_intertwiners(a: TriangularRep,

@@ -233,6 +233,19 @@ def test_cli_deform_reads_cvector_from_stdin():
     assert from_stdin[0] == 0 and from_stdin[1].count("\n") == 1
 
 
+def test_cli_calls_in_a_row_share_no_parse_state():
+    # The parser is built once; each call must still see only its own
+    # arguments, the ``nargs="+"`` list of hom-defect included.
+    i2, r_s1, dtr = (data_path(f"rep_kron_{name}.json")
+                     for name in ("i2", "r_s1", "dtr_s1"))
+    assert build_parser() is build_parser()
+    assert run_cli(["hom-defect", i2, r_s1, dtr, dtr]) == (0, "[1, 1]\n", "")
+    assert run_cli(["hom", dtr, r_s1]) == (0, "3\n", "")
+    assert run_cli(["hom-defect", data_path("rep_kron_rprime.json"),
+                    data_path("rep_kron_s1_s2.json"), dtr]) == (0, "[3]\n", "")
+    assert run_cli(["hom-defect", i2, r_s1, dtr]) == (0, "[1]\n", "")
+
+
 def cli_commands() -> set:
     parser = build_parser()
     sub = next(action for action in parser._actions
