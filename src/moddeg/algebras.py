@@ -402,7 +402,7 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
         if len(columns) == dm:
             break
         unit = Matrix.unit_vector(fld, dm, i)
-        if not tracker.add(unit.columns()[0]):
+        if not tracker.add(unit.transpose().entries[0]):
             continue
         j = len(columns)
         columns.append(unit)
@@ -413,7 +413,7 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
         while j < len(columns):
             for g in gens:
                 vec = m.mats[g] @ columns[j]
-                if tracker.add(vec.columns()[0]):
+                if tracker.add(vec.transpose().entries[0]):
                     columns.append(vec)
                     steps.append((j, g))
                     words.append(n.mats[g] if steps[j] is None

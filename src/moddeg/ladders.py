@@ -206,8 +206,8 @@ def build_family(lc: LadderCertificate,
         Matrix.identity(fld, ambient.dim))
     w = image(lc.columns[-1].column_map())
     tracker = EchelonTracker(fld, ambient.dim)
-    for j in range(w.dim):
-        tracker.add(w.basis.column(j))
+    for col in w.basis.transpose().entries:
+        tracker.add(col)
     chosen = []
     for i in range(d):
         candidates = image(embs[i])
@@ -216,17 +216,13 @@ def build_family(lc: LadderCertificate,
                 ambient.algebra.idempotent_indices[constraint[i]]]
             fixed = kernel(idem - Matrix.identity(fld, ambient.dim))
             candidates = candidates.intersect(fixed)
-        pick = None
-        for j in range(candidates.dim):
-            col = candidates.basis.column(j)
-            if tracker.add(col):
-                pick = col
-                break
+        pick = next((col for col in candidates.basis.transpose().entries
+                     if tracker.add(col)), None)
         if pick is None:
             raise NoAdaptedBasis(
                 f"no adapted basis vector at position {i + 1}", index=i + 1)
         chosen.append(pick)
-    basis = Matrix.from_columns(fld, chosen, rows=ambient.dim)
+    basis = Matrix._from_entries(fld, d, ambient.dim, chosen).transpose()
     return DeformationFamily(lc, basis)
 
 

@@ -3,26 +3,33 @@
 Matrices are stored row-sparse: each row once, as the columns of its
 nonzero entries in increasing order and their values, with no dense
 copy.  Products, sums, transposes, stacks and slices run over the stored
-entries only, and products call the field object once per multiply and
-once per add.  Elimination (``rref`` and ``EchelonTracker``) runs on rows
-of plain ints instead: canonical residues over GF(p), and over QQ each
-row cleared of denominators and reduced fraction-free, with its content
-divided out after every step; only the final pivot rows become
-``Fraction``s again.
+entries only.  A product row whose left row holds one stored entry is the
+matching right row, as it is or scaled; other product rows sum plain int
+products and reduce once per output entry (mod p, or over QQ to one
+``Fraction`` over a common denominator).
+
+Elimination (``rref`` and ``EchelonTracker``) runs on sparse int rows,
+dicts from column to value: canonical residues over GF(p), and over QQ
+numerators over the row's lcm denominator, reduced fraction-free with the
+content divided out after every step.  Both share one step, which
+touches only the pivot row's entries and only the pivot columns a row
+holds; only the final pivot rows become ``Fraction``s again.
 
 Everything here is immutable and pure.  Subspaces are kept in a canonical
 reduced column echelon basis so that two subspaces are equal if and only
 if their basis matrices are structurally equal; submodule chains elsewhere
 in the library terminate by exactly this equality test.
 
-Pivoting is deterministic (leftmost pivot, first nonzero row), so all
-derived bases are reproducible bit for bit across runs.
+The reduced echelon form of a matrix is unique, so the order in which
+elimination meets its pivots does not show: all derived bases are
+reproducible bit for bit across runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
@@ -171,18 +178,47 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
+        p = f.characteristic
+        mul = f.mul
         # Row-sparse (Gustavson) product: row i of the result accumulates
         # a . other[k] over the stored a = self[i][k] and the stored
-        # entries of other[k] only.
+        # entries of other[k] only.  A row with one stored entry a is
+        # other[k] itself when a is one and otherwise other[k] scaled by a,
+        # which stays canonical: in a field no product of nonzeros is zero.
+        # Other rows sum plain int products, reduced once per output entry:
+        # mod p, or over QQ as numerators over the left row's denominator
+        # times one common denominator of the right factor.
         right = other.entries
+        right_ints = None
         out = []
         for cols, vals in self.entries:
+            if len(cols) == 1:
+                a = vals[0]
+                row = right[cols[0]]
+                out.append(row if a == 1 else (row[0], tuple([mul(a, b) for b in row[1]])))
+                continue
+            if not cols:
+                out.append(((), ()))
+                continue
             acc = {}
-            for k, a in zip(cols, vals):
-                for j, b in zip(*right[k]):
-                    acc[j] = add(acc.get(j, zero), mul(a, b))
-            out.append(row_from_dict(acc) if acc else ((), ()))
+            if p:
+                for k, a in zip(cols, vals):
+                    for j, b in zip(*right[k]):
+                        acc[j] = acc.get(j, 0) + a * b
+                out.append(row_from_dict({j: v % p for j, v in acc.items()}))
+                continue
+            if right_ints is None:
+                den = lcm(*[v.denominator for _, vals_k in right for v in vals_k])
+                right_ints = [(cols_k, [v.numerator * (den // v.denominator) for v in vals_k])
+                              for cols_k, vals_k in right]
+            ratios = [a.as_integer_ratio() for a in vals]
+            row_den = lcm(*[d for _, d in ratios])
+            for k, (num, d) in zip(cols, ratios):
+                a = num * (row_den // d)
+                for j, b in zip(*right_ints[k]):
+                    acc[j] = acc.get(j, 0) + a * b
+            row_den *= den
+            out.append(row_from_dict({j: Fraction(v, row_den) for j, v in acc.items()}))
         return Matrix._from_entries(f, self.rows, other.cols, out)
 
     def scale(self, scalar) -> "Matrix":
@@ -306,100 +342,111 @@ def block_diag(*mats: Matrix) -> Matrix:
     return Matrix._from_entries(mats[0].field, len(out), offset, out)
 
 
-def _int_row(row: tuple, n: int, p: int) -> list:
-    """The length-``n`` int form of a stored row: canonical residues over
-    GF(p) as they are; over QQ (``p`` is 0) the row times the lcm of its
-    values' denominators."""
-    out = [0] * n
+def _int_entries(row: tuple, p: int) -> dict:
+    """The sparse int form ``{column: value}`` of a stored row: canonical
+    residues over GF(p) as they are; over QQ (``p`` is 0) the numerators
+    of the row times the lcm of its values' denominators."""
     cols, vals = row
     if p:
-        for j, v in zip(cols, vals):
-            out[j] = v
-        return out
+        return dict(zip(cols, vals))
     ratios = [v.as_integer_ratio() for v in vals]
     den = lcm(*[d for _, d in ratios])
-    for j, (num, d) in zip(cols, ratios):
-        out[j] = num * (den // d)
-    return out
+    return {j: num * (den // d) for j, (num, d) in zip(cols, ratios)}
 
 
-def _pivot_row(row: list, c: int, p: int) -> list:
-    """The nonzero ``(column, value)`` entries of the int ``row``, whose
-    first nonzero entry sits at ``c``; over GF(p) the row is first scaled
-    in place so that this pivot is one."""
-    nonzeros = [(j, v) for j, v in enumerate(row[c:], c) if v]
+def _reduce(row: dict, pivots: dict, p: int) -> dict:
+    """Reduce the sparse int ``row`` in place by the pivot rows
+    ``pivots`` (sparse int rows keyed by their leading column), in
+    increasing column order and only at pivot columns the row holds.
+
+    Clearing column ``c`` touches only the pivot row's entries.  Over
+    GF(p) the pivot is one: ``row[j] -= f * pivot[j]`` mod p, with
+    ``f = row[c]``.  Over QQ (``p`` is 0) the step is fraction-free: with
+    pivot ``pv`` and ``g = gcd(pv, f)`` the row becomes
+    ``(pv/g) row - (f/g) pivot``, divided by its content.  A pivot row's
+    other columns lie right of ``c``, so fill-in is queued and cleared in
+    the same pass.
+    """
+    todo = [j for j in row if j in pivots]
+    heapify(todo)
+    while todo:
+        c = heappop(todo)
+        f = row.get(c)
+        if f is None:
+            continue
+        pivot = pivots[c]
+        if not p:
+            pv = pivot[c]
+            g = gcd(pv, f)
+            if g != pv:
+                scale = pv // g
+                for j in row:
+                    row[j] *= scale
+            f //= g
+        for j, y in pivot.items():
+            if j in row:
+                v = row[j] - f * y
+                if p:
+                    v %= p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            else:
+                row[j] = -f * y % p if p else -f * y
+                if j in pivots:
+                    heappush(todo, j)
+        if not p and row:
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+    return row
+
+
+def _insert(row: tuple, pivots: dict, p: int) -> bool:
+    """Reduce the stored ``row`` by ``pivots``; if anything is left, keep
+    it as the pivot row of its leading column (over GF(p) scaled so that
+    this entry is one) and return True."""
+    row = _reduce(_int_entries(row, p), pivots, p)
+    if not row:
+        return False
+    c = min(row)
     if p and row[c] != 1:
         inv = pow(row[c], -1, p)
-        nonzeros = [(j, v * inv % p) for j, v in nonzeros]
-        for j, v in nonzeros:
-            row[j] = v
-    return nonzeros
-
-
-def _eliminate(row: list, c: int, pivot: list, p: int) -> list:
-    """Clear column ``c`` of the int ``row`` with the pivot row given by its
-    nonzero entries ``pivot`` (first entry at ``c``); return the new row.
-
-    Over GF(p) the pivot is one and only the pivot row's columns change.
-    Over QQ (``p`` is 0) the step is fraction-free: with pivot ``pv`` and
-    ``g = gcd(pv, f)`` for ``f = row[c]``, the row becomes
-    ``(pv/g) row - (f/g) pivot`` divided by its content.
-    """
-    f = row[c]
-    if p:
-        for j, y in pivot:
-            row[j] = (row[j] - f * y) % p
-        return row
-    pv = pivot[0][1]
-    g = gcd(pv, f)
-    if g != pv:
-        scale = pv // g
-        row = [scale * x for x in row]
-    f //= g
-    for j, y in pivot:
-        row[j] -= f * y
-    g = gcd(*row)
-    if g > 1:
-        row = [x // g for x in row]
-    return row
+        row = {j: v * inv % p for j, v in row.items()}
+    pivots[c] = row
+    return True
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form of ``m``.
 
-    Returns ``(echelon, rank, pivot_columns)``.  Deterministic: pivots are
-    chosen leftmost first, within a column the first nonzero row wins.
-    Elimination runs on int rows (``_int_row``); each step touches only
-    the pivot row's nonzero entries, except that a fraction-free QQ step
-    rescales the whole row.  Over QQ the pivot rows are divided by their
-    pivots at the end, which gives the unique RREF.
+    Returns ``(echelon, rank, pivot_columns)``.  Elimination runs on
+    sparse int rows (``_int_entries``) with the steps ``EchelonTracker``
+    uses too: a forward pass reduces each row of ``m.entries`` by the
+    pivot rows found so far and keeps it as a new pivot row if anything
+    is left (``_insert``); back-substitution (``_reduce``) then clears the
+    pivot rows in decreasing pivot order, and each is divided by its
+    leading entry once.  The reduced echelon form of a matrix is unique,
+    so the order in which pivots are found does not change the result.
     """
     field = m.field
     p = field.characteristic
-    a = [_int_row(row, m.cols, p) for row in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        for pr in range(r, m.rows):
-            if a[pr][c]:
-                break
-        else:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        nonzeros = _pivot_row(a[r], c, p)
-        for i, row in enumerate(a):
-            if row[c] and i != r:
-                a[i] = _eliminate(row, c, nonzeros, p)
-        pivots.append(c)
-        r += 1
-    out = [row_from_dense(row) for row in a[:r]]
+    pivots = {}
+    for row in m.entries:
+        if row[0]:
+            _insert(row, pivots, p)
+    order = sorted(pivots)
+    done = {}
+    for c in reversed(order):
+        done[c] = _reduce(pivots[c], done, p)
+    out = [row_from_dict(done[c]) for c in order]
     if not p:
         out = [(cols, tuple([Fraction(v, vals[0]) for v in vals])) for cols, vals in out]
+    r = len(out)
     out.extend([((), ())] * (m.rows - r))
-    return Matrix._from_entries(field, m.rows, m.cols, out), r, tuple(pivots)
+    return Matrix._from_entries(field, m.rows, m.cols, out), r, tuple(order)
 
 
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -458,39 +505,28 @@ def first_combination(mats: Sequence[Matrix], test: Callable[[Matrix], bool],
 class EchelonTracker:
     """Incremental row-reduction used by greedy basis extension loops.
 
-    Vectors are reduced as int rows, with the same step as ``rref``.  Each
-    one that enlarges the span is stored once, as the list of its nonzero
-    ``(column, value)`` entries (over GF(p) scaled to a leading one) keyed
-    by its leading (pivot) column.  The stored rows are in echelon form,
-    so reducing a vector by them in increasing pivot order leaves zero
+    Vectors come as stored rows ``(columns, values)`` of canonical field
+    elements and are reduced as sparse int rows by the step ``rref``
+    uses (``_insert``).  Each one that enlarges the span is kept once, as
+    a pivot row (over GF(p) scaled to a leading one) keyed by its leading
+    column.  The pivot rows are in echelon form, so reducing a vector by
+    them in increasing pivot order, at the columns it holds, leaves zero
     exactly when it lies in their span.
     """
 
     def __init__(self, field, dim: int):
         self.field = field
         self.dim = dim
-        self.rows: dict[int, list] = {}
+        self.rows: dict[int, dict] = {}
 
-    def _reduce(self, entries: Iterable) -> list:
-        f = self.field
-        values = [f.coerce(v) for v in entries]
-        vec = _int_row(row_from_dense(values), len(values), f.characteristic)
-        for c in sorted(self.rows):
-            if vec[c]:
-                vec = _eliminate(vec, c, self.rows[c], f.characteristic)
-        return vec
+    def add(self, row: tuple) -> bool:
+        """Insert a vector given as a stored row; True if it enlarged the
+        span."""
+        return _insert(row, self.rows, self.field.characteristic)
 
-    def add(self, entries: Iterable) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        vec = self._reduce(entries)
-        c = next((i for i, v in enumerate(vec) if v), None)
-        if c is None:
-            return False
-        self.rows[c] = _pivot_row(vec, c, self.field.characteristic)
-        return True
-
-    def contains(self, entries: Iterable) -> bool:
-        return not any(self._reduce(entries))
+    def contains(self, row: tuple) -> bool:
+        p = self.field.characteristic
+        return not _reduce(_int_entries(row, p), self.rows, p)
 
     @property
     def rank(self) -> int:
@@ -597,23 +633,22 @@ class Subspace:
         if not within.contains(self):
             raise NotContained("subspace is not contained in the given space")
         tracker = EchelonTracker(self.field, self.ambient_dim)
-        for col in self.basis.columns():
+        for col in self.basis.transpose().entries:
             tracker.add(col)
         need = within.dim - self.dim
         chosen = []
         if need > 0:
             # In reduced column echelon form e_i lies in ``within`` iff it
             # is a basis column, one with a single nonzero entry.
-            candidates = within.basis.columns()
-            candidates[:0] = [c for c, (rows, _) in
-                              zip(candidates, within.basis.transpose().entries)
-                              if len(rows) == 1]
+            candidates = list(within.basis.transpose().entries)
+            candidates[:0] = [c for c in candidates if len(c[0]) == 1]
             for cand in candidates:
                 if tracker.add(cand):
                     chosen.append(cand)
                     if len(chosen) == need:
                         break
-        return Matrix.from_columns(self.field, chosen, rows=self.ambient_dim)
+        return Matrix._from_entries(self.field, len(chosen), self.ambient_dim,
+                                    chosen).transpose()
 
 
 def _row_span(m: Matrix) -> Subspace:

@@ -75,13 +75,14 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
     """The product a . b as the dense triple loop over every cell: the
     reference the zero-skipping product must match exactly."""
     fld = a.field
+    left, right = a.data, b.data
     out = []
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
             acc = fld.zero
             for k in range(a.cols):
-                acc = fld.add(acc, fld.mul(a.data[i][k], b.data[k][j]))
+                acc = fld.add(acc, fld.mul(left[i][k], right[k][j]))
             row.append(acc)
         out.append(row)
     return Matrix(fld, a.rows, b.cols, out)

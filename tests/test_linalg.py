@@ -12,7 +12,8 @@ from moddeg.errors import FieldMismatch, NotContained
 from moddeg.fields import GF, QQ, PrimeField
 from moddeg.fixtures import jordan_module
 from moddeg.linalg import (EchelonTracker, Matrix, Subspace, block_diag, hstack,
-                           inverse, kernel, preimage, rref, solve_right, vstack)
+                           inverse, kernel, preimage, row_from_dense, rref,
+                           solve_right, vstack)
 
 from support import (all_vectors, dense_add, dense_block_diag, dense_hstack,
                      dense_is_upper_triangular, dense_is_zero, dense_matmul,
@@ -295,13 +296,13 @@ def test_echelon_tracker_agrees_with_independent_rank(m, data):
     fld = m.field
     p = 0 if fld == QQ else fld.p
     tracker = EchelonTracker(fld, m.cols)
-    for i, row in enumerate(m.data):
+    for i, row in enumerate(m.entries):
         before = tracker.rank
         grew = tracker.add(row)
         assert tracker.rank == before + grew == independent_rank(m.data[:i + 1], p)
     probes = data.draw(sparse_matrices(cols=m.cols, fld=fld))
-    for row in probes.data:
-        grown = independent_rank(list(m.data) + [row], p)
+    for row, dense in zip(probes.entries, probes.data):
+        grown = independent_rank(list(m.data) + [dense], p)
         assert tracker.contains(row) == (grown == tracker.rank)
 
 
@@ -347,7 +348,7 @@ def test_echelon_tracker_agrees_with_independent_rank_on_wide_entries(m, data):
     fld = m.field
     p = 0 if fld == QQ else fld.p
     tracker = EchelonTracker(fld, m.cols)
-    for row in m.data:
+    for row in m.entries:
         tracker.add(row)
     assert tracker.rank == independent_rank(m.data, p)
     # Probes in the span (random combinations of the rows) and, mostly,
@@ -357,9 +358,71 @@ def test_echelon_tracker_agrees_with_independent_rank_on_wide_entries(m, data):
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
         probes.append([fld.coerce(sum((c * row[j] for c, row in zip(coeffs, m.data)), 0))
                        for j in range(m.cols)])
-    for row in probes:
-        grown = independent_rank(list(m.data) + [row], p)
-        assert tracker.contains(row) == (grown == tracker.rank)
+    for probe in probes:
+        grown = independent_rank(list(m.data) + [probe], p)
+        assert tracker.contains(row_from_dense(probe)) == (grown == tracker.rank)
+
+
+F32003 = GF(32003)
+
+
+@st.composite
+def large_sparse_matrices(draw):
+    """Tall or wide matrices up to 80 x 80 at 1-5% density, the regime of
+    flags, inclusions and triangular stages: over QQ with signed proper
+    fractions, over GF(32003) with arbitrary nonzero residues.  Some rows
+    and columns are forced to zero."""
+    fld = draw(st.sampled_from([QQ, F32003]))
+    long, short = draw(st.integers(20, 80)), draw(st.integers(0, 60))
+    rows, cols = (long, short) if draw(st.booleans()) else (short, long)
+    density = draw(st.sampled_from([0.01, 0.03, 0.05]))
+    # One drawn seed: drawing every cell would exceed hypothesis' entropy
+    # budget at this size.
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    zero_rows = set(rng.sample(range(rows), rows // 8))
+    zero_cols = set(rng.sample(range(cols), cols // 8))
+
+    def cell(i, j):
+        if i in zero_rows or j in zero_cols or rng.random() >= density:
+            return 0
+        if fld == QQ:
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 30))
+        return rng.randrange(1, fld.p)
+    return Matrix.from_rows(fld, [[cell(i, j) for j in range(cols)] for i in range(rows)],
+                            cols=cols)
+
+
+@given(large_sparse_matrices(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sparse_kernels_match_dense_references_on_large_sparse_matrices(m, data):
+    fld = m.field
+    p = fld.characteristic
+    reference = dense_rref(m)
+    assert rref(m) == reference
+    # The kernel: vectors that m kills, as many as the nullity, independent.
+    ker = kernel(m)
+    assert ker.dim == m.cols - reference[1]
+    for col in ker.basis.columns():
+        for cols, vals in m.entries:
+            total = sum((v * col[j] for j, v in zip(cols, vals)), 0)
+            assert (total % p if p else total) == 0
+    assert independent_rank(ker.basis.transpose().data, p) == ker.dim
+    # Products whose left rows mostly hold one stored entry, one or not,
+    # next to empty rows and rows of two entries.
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    other = fld.coerce(rng.choice([2, -3, Fraction(5, 7)]) if fld == QQ
+                       else rng.randrange(2, fld.p))
+    left = []
+    for _ in range(data.draw(st.integers(0, 24))):
+        row = [0] * m.rows
+        picks = rng.sample(range(m.rows), min(m.rows, rng.choice([0, 1, 1, 1, 2])))
+        for k in picks:
+            row[k] = rng.choice([fld.one, other])
+        left.append(row)
+    a = Matrix.from_rows(fld, left, cols=m.rows)
+    product = a @ m
+    assert_stored_rows_canonical(product)
+    assert product == dense_matmul(a, m)
 
 
 class CountingField(PrimeField):
@@ -382,19 +445,31 @@ class CountingField(PrimeField):
         return super().mul(a, b)
 
 
+def _permutation(fld, rng, n, scalar=1):
+    order = list(range(n))
+    rng.shuffle(order)
+    return Matrix.from_rows(
+        fld, [[scalar if j == order[i] else 0 for j in range(n)] for i in range(n)])
+
+
 @pytest.mark.parametrize("n", [1, 5, 12])
 def test_permutation_product_multiplies_only_nonzeros(n):
+    # Every left row holds one stored entry: a one copies the right row
+    # and makes no field call, any other value makes one multiplication
+    # per stored entry of that right row and no addition.
     fld = CountingField(101)
     rng = random.Random(n)
-    perms = []
-    for _ in range(2):
-        order = list(range(n))
-        rng.shuffle(order)
-        perms.append(Matrix.from_rows(
-            fld, [[1 if j == order[i] else 0 for j in range(n)] for i in range(n)]))
-    product = perms[0] @ perms[1]
-    assert fld.calls["mul"] == n and fld.calls["add"] == n
-    assert product == dense_matmul(perms[0], perms[1])
+    plain, other = _permutation(fld, rng, n), _permutation(fld, rng, n)
+    scaled = _permutation(fld, rng, n, scalar=7)
+    fld.calls.clear()
+    product = plain @ other
+    assert fld.calls == Counter()
+    assert product == dense_matmul(plain, other)
+    for left, right in ((scaled, plain), (plain, scaled)):
+        fld.calls.clear()
+        product = left @ right
+        assert fld.calls == (Counter(mul=n) if left is scaled else Counter())
+        assert product == dense_matmul(left, right)
 
 
 def test_hom_dim_field_operation_counts():
