@@ -7,12 +7,14 @@ generator; relations are checked by evaluating them on those matrices,
 never symbolically.  Module elements are column vectors and a word
 ``(i, j)`` in a relation acts as ``mats[i] @ mats[j]``.
 
-Hom(M, N) is solved by spinning M (``hom_spin``): an intertwiner is fixed
-by its values on the t roots from which the generators spin a basis of M,
-so ``hom_dim`` and ``hom_basis`` solve for t * dim N unknowns.
-``intertwiner_system`` keeps one unknown per entry of H, dim M * dim N of
-them, for intertwiners held to a support (the triangular Hom of
-``series``) and for the certificate lift of ``degeneration``.
+One builder, ``intertwiner_equations``, writes the equations
+n_g (H b_j) = H (m_g b_j) of an intertwiner H on a basis b of M.  Hom(M, N)
+is solved on the spin basis (``hom_spin``): H is fixed by its values on the
+t roots from which the generators spin b, so ``hom_dim`` and ``hom_basis``
+solve for t * dim N unknowns.  ``intertwiner_system`` takes the unit
+vectors, one unknown per entry of H, for intertwiners held to a support
+(the triangular Hom of ``series``) and for the certificate lift of
+``degeneration``.
 """
 
 from __future__ import annotations
@@ -288,49 +290,63 @@ def direct_sum(a: Representation, b: Representation):
             ModuleMap(rep, a, pa), ModuleMap(rep, b, pb))
 
 
+def intertwiner_equations(fld, nvars: int, words: Sequence[Matrix],
+                          places: Sequence[Sequence], pending) -> Matrix:
+    """For a basis b of M and an unknown H: M -> N, the rows of
+    n_g (H b_j) - sum_l c_l (H b_l) = 0 over ``nvars`` unknowns, one per
+    coordinate of N and pending image m_g b_j; rows that come out
+    identically zero are left out.
+
+    H b_l is ``words[l]`` times the unknowns at ``places[l]``, where None
+    holds an entry at zero.  Each pending ``(lead, j, c)`` carries the lead
+    n_g W_j, already computed, and the coordinates c of m_g b_j in b as a
+    stored row."""
+    sub, neg, mul = fld.sub, fld.neg, fld.mul
+    rows = []
+    for lead, j, (ls, cs) in pending:
+        place = places[j]
+        acc = [{place[s]: v for s, v in zip(*row) if place[s] is not None}
+               for row in lead.entries]
+        for l, c in zip(ls, cs):
+            place = places[l]
+            for a, row in zip(acc, words[l].entries):
+                for s, w in zip(*row):
+                    k = place[s]
+                    if k is not None:
+                        cw = c if w == 1 else mul(c, w)
+                        a[k] = sub(a[k], cw) if k in a else neg(cw)
+        for a in acc:
+            row = row_from_dict(a)
+            if row[0]:
+                rows.append(row)
+    return Matrix._from_entries(fld, len(rows), nvars, rows)
+
+
+def column_places(rows: int, cols: int, support: Sequence[int]) -> list[list]:
+    """Per column j of a rows x cols H, the unknown of each H[r][j]: the
+    position of ``r * cols + j`` in ``support``, or None (held at zero)."""
+    unknown = [None] * (rows * cols)
+    for k, flat in enumerate(support):
+        unknown[flat] = k
+    return [unknown[j::cols] for j in range(cols)]
+
+
 def intertwiner_system(m: Representation, n: Representation,
                        support: Optional[Sequence[int]] = None) -> Matrix:
-    """The linear system of ``H . m_g = n_g . H`` for an n.dim x m.dim
-    matrix H, as rows ``(n_g . H - H . m_g)[i][j] = 0``, one per generator
-    g and entry (i, j) in that order, except that rows which come out
-    identically zero are left out (a generator acting as the identity on
-    both sides gives only such rows).  Only nonzero entries of n_g and m_g
-    are added in.
-
-    The unknowns are the entries H[r][c] at the row-major indices
-    ``r * m.dim + c`` listed in ``support`` (default: all of them), in that
-    order; every other entry of H is held at zero.
-    """
+    """The equations ``n_g . H = H . m_g`` of an n.dim x m.dim matrix H:
+    ``intertwiner_equations`` on the unit vectors e_j of M, with column j
+    of H as H e_j and the identity as every word.  The unknowns are the
+    entries H[r][c] at the row-major indices ``r * m.dim + c`` listed in
+    ``support`` (default: all of them), in that order; every other entry
+    of H is held at zero."""
     _check_compatible(m, n)
-    fld = m.field
-    dm, dn = m.dim, n.dim
+    fld, dm, dn = m.field, m.dim, n.dim
     if support is None:
         support = range(dn * dm)
-    nvars = len(support)
-    column = [None] * (dn * dm)
-    for k, flat in enumerate(support):
-        column[flat] = k
-    sub, neg = fld.sub, fld.neg
-    rows = []
-    for a, b in zip(m.mats, n.mats):
-        a_cols = a.transpose().entries
-        for i, b_row in enumerate(b.entries):
-            for j, a_col in enumerate(a_cols):
-                # The n_g terms sit at distinct unknowns, and so do the
-                # m_g terms; the two meet at most at H[i][j].
-                acc = {}
-                for r, v in zip(*b_row):
-                    k = column[r * dm + j]
-                    if k is not None:
-                        acc[k] = v
-                for c, v in zip(*a_col):
-                    k = column[i * dm + c]
-                    if k is not None:
-                        acc[k] = sub(acc[k], v) if k in acc else neg(v)
-                row = row_from_dict(acc)
-                if row[0]:
-                    rows.append(row)
-    return Matrix._from_entries(fld, len(rows), nvars, rows)
+    pending = [(b, j, col) for a, b in zip(m.mats, n.mats)
+               for j, col in enumerate(a.transpose().entries)]
+    return intertwiner_equations(fld, len(support), [Matrix.identity(fld, dn)] * dm,
+                                 column_places(dn, dm, support), pending)
 
 
 def unflatten(fld, rows: int, cols: int, vector: tuple,
@@ -367,20 +383,16 @@ class HomSpin:
     m is spun from greedy unit vectors e_0, e_1, .. under the generators
     that are not the identity on both sides.  Column j of the spin basis B
     is a root (``steps[j]`` is None) or m_g times an earlier column
-    (``steps[j]`` is ``(parent, g)``); ``root_of[j]`` numbers its root.  An
-    intertwiner H is fixed by the images h_k of the roots: H b_j = W_j h_k
-    for the root k of b_j, with W_j the word in the n_g that spun b_j.
-
-    ``equations`` has one block of rows per generator g and column b_j
-    whose image m_g b_j did not become a column:
-    n_g W_j h_{k_j} - sum_l c_l W_l h_{k_l} = 0, with c the coordinates of
-    m_g b_j in B.  Its unknowns are the h_k stacked, roots * n.dim of them;
-    identically zero rows are left out.  ``inverse`` is B^-1.
+    (``steps[j]`` is ``(parent, g)``).  An intertwiner H is fixed by the
+    images h_k of the roots, numbered in order: H b_j = W_j h_k for the
+    root k of b_j, with W_j the word in the n_g that spun b_j.
+    ``equations`` are ``intertwiner_equations`` on B, with the W_j as words
+    and each root's block of unknowns in the stacked h_k as places, for
+    every image m_g b_j that did not become a column.  ``inverse`` is B^-1.
     """
 
     roots: int
     steps: tuple
-    root_of: tuple
     inverse: Matrix
     equations: Matrix
 
@@ -389,14 +401,13 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
     """The spin system of Hom(m, n) (see ``HomSpin``).  It never uses the
     presentation's relations, so it serves any tuples of matrices."""
     _check_compatible(m, n)
-    fld = m.field
-    dm, dn = m.dim, n.dim
+    fld, dm, dn = m.field, m.dim, n.dim
     one_m, one_n = Matrix.identity(fld, dm), Matrix.identity(fld, dn)
     gens = [g for g, (a, b) in enumerate(zip(m.mats, n.mats))
             if a != one_m or b != one_n]
     tracker = EchelonTracker(fld, dm)
-    columns, steps, words, root_of = [], [], [], []
-    pending = []          # (g, j, m_g b_j) for every image already in the span
+    columns, steps, words, places = [], [], [], []
+    pending = []          # (n_g W_j, j, m_g b_j) for every image already in the span
     roots = 0
     for i in range(dm):
         if len(columns) == dm:
@@ -408,44 +419,28 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
         columns.append(unit)
         steps.append(None)
         words.append(one_n)
-        root_of.append(roots)
+        places.append(range(roots * dn, (roots + 1) * dn))
         roots += 1
         while j < len(columns):
             for g in gens:
                 vec = m.mats[g] @ columns[j]
+                lead = n.mats[g] if steps[j] is None else n.mats[g] @ words[j]
                 if tracker.add(vec.transpose().entries[0]):
                     columns.append(vec)
                     steps.append((j, g))
-                    words.append(n.mats[g] if steps[j] is None
-                                 else n.mats[g] @ words[j])
-                    root_of.append(root_of[j])
+                    words.append(lead)
+                    places.append(places[j])
                 else:
-                    pending.append((g, j, vec))
+                    pending.append((lead, j, vec))
             j += 1
     solved = solve_right(hstack(Matrix.zeros(fld, dm, 0), *columns),
                          hstack(*[vec for _, _, vec in pending], one_m))
     coords = solved.transpose().entries
-    sub, neg, mul = fld.sub, fld.neg, fld.mul
-    rows = []
-    for (g, j, _), (ls, cs) in zip(pending, coords):
-        lead = n.mats[g] if steps[j] is None else n.mats[g] @ words[j]
-        base = root_of[j] * dn
-        acc = [{base + s: v for s, v in zip(*row)} for row in lead.entries]
-        for l, c in zip(ls, cs):
-            base = root_of[l] * dn
-            for a, row in zip(acc, words[l].entries):
-                for s, w in zip(*row):
-                    cw = mul(c, w)
-                    k = base + s
-                    a[k] = sub(a[k], cw) if k in a else neg(cw)
-        for a in acc:
-            row = row_from_dict(a)
-            if row[0]:
-                rows.append(row)
     npairs = len(pending)
-    return HomSpin(roots, tuple(steps), tuple(root_of),
+    return HomSpin(roots, tuple(steps),
                    solved.submatrix(range(dm), range(npairs, npairs + dm)),
-                   Matrix._from_entries(fld, len(rows), roots * dn, rows))
+                   intertwiner_equations(fld, roots * dn, words, places, [
+                       (lead, j, c) for (lead, j, _), c in zip(pending, coords)]))
 
 
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
@@ -458,17 +453,17 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     column's block) hold H b_j for every kernel vector at once, and one
     product with B^-1 turns them into the maps."""
     spin = hom_spin(m, n)
-    fld = m.field
-    dm, dn = m.dim, n.dim
+    fld, dm, dn = m.field, m.dim, n.dim
     ker = kernel(spin.equations).basis
     kb = ker.cols
     if not kb:
         return []
+    blocks = (ker.submatrix(range(lo, lo + dn), range(kb))
+              for lo in range(0, spin.roots * dn, dn))
     images = []           # H b_j for every kernel vector: a dn x kb block
-    for j, step in enumerate(spin.steps):
+    for step in spin.steps:
         if step is None:
-            lo = spin.root_of[j] * dn
-            images.append(ker.submatrix(range(lo, lo + dn), range(kb)))
+            images.append(next(blocks))
         else:
             parent, g = step
             images.append(n.mats[g] @ images[parent])

@@ -19,8 +19,9 @@ from .errors import (AlgebraMismatch, DimensionMismatch,
                      InternalInvariantViolation, NoLift, NotSubmodule,
                      VerificationFailed)
 from .algebras import (CheckItem, ModuleMap, Report, Representation,
-                       Submodule, direct_sum, hom_dim, intertwiner_system,
-                       sub_representation, unflatten, zero_representation)
+                       Submodule, column_places, direct_sum, hom_dim,
+                       intertwiner_system, sub_representation, unflatten,
+                       zero_representation)
 from .linalg import (Matrix, Subspace, block_diag, hstack, image, kernel,
                      preimage, solve_right, vstack)
 
@@ -244,18 +245,18 @@ def compose_certificates(c1: RiedtmannCertificate,
     fld = c1.m.field
     w, xm = c2.x, c1.middle
     dw, dxm = w.dim, xm.dim
-    # Below the intertwiner rows, one row per entry (i, j) of q1 o lift = g2.
-    q_rows = []
-    for q_row in c1.q.mat.data:
-        for j in range(dw):
-            row = [fld.zero] * (dxm * dw)
-            row[j::dw] = q_row
-            q_rows.append(row)
-    system = vstack(intertwiner_system(w, xm),
-                    Matrix(fld, len(q_rows), dxm * dw, q_rows))
-    g2 = [v for row in c2.g.mat.data for v in row]
-    rhs = Matrix.column_vector(fld, [fld.zero] * (system.rows - len(g2)) + g2)
-    sol = solve_right(system, rhs)
+    q1 = c1.q.mat
+    # Below the intertwiner rows, the rows q1 . (lift e_j) = g2 e_j for
+    # each column j: q1's stored rows read at the unknowns of column j.
+    places = column_places(dxm, dw, range(dxm * dw))
+    lifts = [(tuple([place[s] for s in cols]), vals)
+             for place in places for cols, vals in q1.entries]
+    system = intertwiner_system(w, xm)
+    g2 = c2.g.mat
+    sol = solve_right(
+        vstack(system, Matrix._from_entries(fld, len(lifts), dxm * dw, lifts)),
+        vstack(Matrix.zeros(fld, system.rows, 1),
+               *[g2.column_matrix(j) for j in range(dw)]))
     if sol is None:
         raise NoLift("no module map (s; t) with q1 o (s; t) = g2 exists; "
                      "composition by this construction is unavailable")
@@ -269,7 +270,6 @@ def compose_certificates(c1: RiedtmannCertificate,
                  hstack(Matrix.zeros(fld, dw, dx), c2.f.mat))
     g_v = hstack(c1.g.mat, tau)
     # q(x, w, a) = q2(w, q1(x, a))
-    q1 = c1.q.mat
     q_v = c2.q.mat @ vstack(
         hstack(Matrix.zeros(fld, dw, dx), Matrix.identity(fld, dw),
                Matrix.zeros(fld, dw, da)),

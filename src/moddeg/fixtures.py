@@ -7,7 +7,6 @@ over the rationals and over small prime fields.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .fields import GF, QQ
@@ -472,130 +471,9 @@ def fixture_documents() -> dict[str, Document]:
     return docs
 
 
-# Golden CLI cases.  Entries with expect_stdout None assert the exit code
-# and (when expect_kinds is set) that each stdout line parses to the given
-# document kinds; values pinned by hand are literal.
-GOLDEN_CASES = [
-    {"name": "codim-regular-pair",
-     "argv": ["codim", "rep_dual_lambda2.json", "rep_dual_lambda_s2.json"],
-     "expect_exit": 0, "expect_stdout": "2\n"},
-    {"name": "codim-submodule-pair",
-     "argv": ["codim", "rep_dual_lambda_s.json", "rep_dual_s3.json"],
-     "expect_exit": 0, "expect_stdout": "4\n"},
-    {"name": "check-cert-eta", "argv": ["check-cert", "cert_dual_eta.json"],
-     "expect_exit": 0, "expect_stdout": None},
-    {"name": "check-cert-kron", "argv": ["check-cert", "cert_kron_i2.json"],
-     "expect_exit": 0, "expect_stdout": None},
-    {"name": "hom-dtr-to-middle",
-     "argv": ["hom", "rep_kron_dtr_s1.json", "rep_kron_r_s1.json"],
-     "expect_exit": 0, "expect_stdout": "3\n"},
-    {"name": "hom-dtr-to-i2",
-     "argv": ["hom", "rep_kron_dtr_s1.json", "rep_kron_i2.json"],
-     "expect_exit": 0, "expect_stdout": "2\n"},
-    {"name": "hom-defect-kron",
-     "argv": ["hom-defect", "rep_kron_i2.json", "rep_kron_r_s1.json",
-              "rep_kron_dtr_s1.json"],
-     "expect_exit": 0, "expect_stdout": "[1]\n"},
-    {"name": "hom-defect-kron-prime",
-     "argv": ["hom-defect", "rep_kron_rprime.json", "rep_kron_s1_s2.json",
-              "rep_kron_dtr_s1.json"],
-     "expect_exit": 0, "expect_stdout": "[3]\n"},
-    {"name": "orbit-dim-i2", "argv": ["orbit-dim", "rep_kron_i2.json"],
-     "expect_exit": 0, "expect_stdout": "8\n"},
-    {"name": "orbit-dim-ud-mu",
-     "argv": ["orbit-dim", "--ud", "rep_nilp3_mu.json"],
-     "expect_exit": 0, "expect_stdout": "1\n"},
-    {"name": "orbit-dim-ud-nu",
-     "argv": ["orbit-dim", "--ud", "rep_nilp3_nu.json"],
-     "expect_exit": 0, "expect_stdout": "2\n"},
-    {"name": "check-ladder-corner",
-     "argv": ["check-ladder", "ladder_nilp3_corner.json"],
-     "expect_exit": 0, "expect_stdout": None},
-    {"name": "check-ladder-shift",
-     "argv": ["check-ladder", "ladder_nilp3_shift.json"],
-     "expect_exit": 0, "expect_stdout": None},
-    {"name": "series-iso-negative",
-     "argv": ["series-iso", "rep_nilp3_mu.json", "rep_nilp3_nu.json"],
-     "expect_exit": 1, "expect_stdout": ""},
-    {"name": "oracle-nilp-same-orbit",
-     "argv": ["oracle-nilp", "rep_nilp3_mu.json", "rep_nilp3_nu.json"],
-     "expect_exit": 0, "expect_stdout": None},
-    {"name": "oracle-nilp-down",
-     "argv": ["oracle-nilp", "rep_nilp3_type3.json", "rep_nilp3_type111.json"],
-     "expect_exit": 0, "expect_stdout": None},
-    {"name": "oracle-nilp-up",
-     "argv": ["oracle-nilp", "rep_nilp3_type111.json", "rep_nilp3_type3.json"],
-     "expect_exit": 1, "expect_stdout": None},
-    {"name": "validate-regular",
-     "argv": ["validate", "rep_dual_lambda2.json"],
-     "expect_exit": 0, "expect_stdout": None},
-    {"name": "comp-vector-r2",
-     "argv": ["comp-vector", "series_r2_mu.json"],
-     "expect_exit": 0, "expect_stdout": None, "expect_kinds": ["cvector"]},
-    {"name": "push-sub-eta",
-     "argv": ["push-sub", "cert_dual_eta.json", "sub_dual_lambda_s.json"],
-     "expect_exit": 0, "expect_stdout": None,
-     "expect_kinds": ["submodule", "certificate"]},
-    {"name": "compose-dual-chain",
-     "argv": ["compose", "cert_dual_eta.json", "cert_dual_s2_to_s4.json"],
-     "expect_exit": 0, "expect_stdout": None, "expect_kinds": ["certificate"]},
-    {"name": "deform-corner-ladder",
-     "argv": ["deform", "ladder_nilp3_corner.json", "--t", "0,1,2"],
-     "expect_exit": 0, "expect_stdout": None,
-     "expect_kinds": ["representation"] * 3},
-    {"name": "deform-with-constraint",
-     "argv": ["deform", "ladder_r2_trivial.json", "--t", "0,1",
-              "--cvec", "cvec_r2.json"],
-     "expect_exit": 0, "expect_stdout": None,
-     "expect_kinds": ["representation"] * 2},
-    {"name": "series-of-lambda2",
-     "argv": ["series", "rep_dual_lambda2.json"],
-     "expect_exit": 0, "expect_stdout": None, "expect_kinds": ["series"]},
-    {"name": "triangularize-lambda2",
-     "argv": ["triangularize", "series_dual_lambda2.json"],
-     "expect_exit": 0, "expect_stdout": None,
-     "expect_kinds": ["representation"]},
-    {"name": "sim-tri-lambda2",
-     "argv": ["sim-tri", "rep_dual_lambda2.json", "rep_dual_lambda2.json",
-              "series_dual_lambda2.json", "series_dual_lambda2.json"],
-     "expect_exit": 0, "expect_stdout": None,
-     "expect_kinds": ["representation"] * 2},
-    {"name": "sim-tri-vector-mismatch",
-     "argv": ["sim-tri", "rep_bidir_m.json", "rep_bidir_n.json",
-              "series_bidir_m.json", "series_bidir_n.json"],
-     "expect_exit": 2, "expect_stdout": ""},
-    {"name": "make-monic-corner",
-     "argv": ["make-monic", "ladder_nilp3_corner.json"],
-     "expect_exit": 0, "expect_stdout": None, "expect_kinds": ["ladder"]},
-    {"name": "psi-of-mu", "argv": ["psi", "rep_nilp3_mu.json"],
-     "expect_exit": 0, "expect_stdout": None,
-     "expect_kinds": ["representation"]},
-    {"name": "psi-of-ladder", "argv": ["psi", "ladder_nilp3_corner.json"],
-     "expect_exit": 0, "expect_stdout": None,
-     "expect_kinds": ["representation"] * 2},
-    {"name": "split-sub-lambda2",
-     "argv": ["split-sub", "rep_dual_lambda.json", "rep_dual_lambda.json",
-              "sub_dual_lambda_s.json"],
-     "expect_exit": 0, "expect_stdout": None,
-     "expect_kinds": ["submodule", "submodule", "certificate"]},
-    {"name": "vchain-socle",
-     "argv": ["vchain", "cert_dual_chain.json", "sub_dual_soc.json"],
-     "expect_exit": 0, "expect_stdout": None},
-    {"name": "enum-subs-lambda-f2",
-     "argv": ["enum-subs", "rep_dual_lambda_f2.json"],
-     "expect_exit": 0, "expect_stdout": None,
-     "expect_kinds": ["submodule"] * 3},
-    {"name": "compose-no-lift",
-     "argv": ["compose", "cert_nilp3_32.json", "cert_nilp3_21.json"],
-     "expect_exit": 2, "expect_stdout": ""},
-]
-
-
 def write_fixture_files(directory) -> None:
-    """Write the fixture corpus and the golden manifest into a directory."""
+    """Write the fixture corpus into a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, doc in fixture_documents().items():
         (directory / name).write_text(format_document(doc), encoding="utf-8")
-    (directory / "golden.json").write_text(
-        json.dumps(GOLDEN_CASES, indent=1) + "\n", encoding="utf-8")

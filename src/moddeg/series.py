@@ -20,7 +20,8 @@ from .errors import (DimensionMismatch, FieldTooSmall,
 from .algebras import (ModuleMap, Representation, Submodule, conjugate,
                        intertwiner_basis, quotient_by_subspace,
                        sub_representation)
-from .linalg import Matrix, Subspace, first_combination, image, kernel, rref
+from .linalg import (Matrix, Subspace, first_combination, hstack, image, kernel,
+                     row_from_dense, rref)
 
 
 def socle(rep: Representation) -> Submodule:
@@ -188,13 +189,9 @@ def flag_basis(rep: Representation, flags: list[Subspace]) -> Matrix:
     """The basis adapted to an ascending flag of subspaces: the columns
     added at step i extend the previous flag inside flag i via the
     deterministic complement."""
-    fld = rep.field
-    cols = []
-    prev = Subspace.zero(fld, rep.dim)
-    for flag in flags:
-        cols.extend(prev.complement_basis(within=flag).columns())
-        prev = flag
-    return Matrix.from_columns(fld, cols, rows=rep.dim)
+    prevs = [Subspace.zero(rep.field, rep.dim), *flags]
+    return hstack(prevs[0].basis, *[prev.complement_basis(within=flag)
+                                     for prev, flag in zip(prevs, flags)])
 
 
 def triangularize_flags(rep: Representation,
@@ -262,13 +259,9 @@ def tc_idempotent_matrices(algebra, fld, cvec: tuple[int, ...]) -> list[Matrix]:
     """The prescribed diagonal 0/1 idempotent images for a composition
     vector: entry (j, j) of the i-th matrix is 1 exactly when c_j = e_i."""
     d = len(cvec)
-    out = []
-    for i in range(len(algebra.idempotents)):
-        diag = [fld.one if cvec[j] == i else fld.zero for j in range(d)]
-        out.append(Matrix(fld, d, d,
-                          [[diag[r] if r == c else fld.zero for c in range(d)]
-                           for r in range(d)]))
-    return out
+    return [Matrix._from_entries(fld, d, d, [
+        ((j,), (fld.one,)) if c == i else ((), ()) for j, c in enumerate(cvec)])
+        for i in range(len(algebra.idempotents))]
 
 
 def tc_membership(tri: TriangularRep, cvec: tuple[int, ...]) -> bool:
@@ -303,9 +296,9 @@ def simultaneous_triangularize(m: Representation, n: Representation,
     def adapted(rep: Representation, series: CompositionSeries) -> Matrix:
         raw = flag_basis(rep, [sub.space for sub in series.flags])
         idem = rep.algebra.idempotent_indices
-        basis = Matrix.from_columns(rep.field, [
-            (rep.mats[idem[pos]] @ raw.column_matrix(i)).column(0)
-            for i, pos in enumerate(series.factors)], rows=rep.dim)
+        basis = hstack(Matrix.zeros(rep.field, rep.dim, 0), *[
+            rep.mats[idem[pos]] @ raw.column_matrix(i)
+            for i, pos in enumerate(series.factors)])
         if not basis.is_injective():
             raise InternalInvariantViolation(
                 "idempotent image fell into the previous flag")
@@ -348,9 +341,9 @@ def series_isomorphic(a: TriangularRep, b: TriangularRep,
     fld = a.rep.field
     if d == 0:
         return ModuleMap(a.rep, b.rep, Matrix.zeros(fld, 0, 0))
-    functionals = Matrix(fld, d, len(basis),
-                         [[h.entry(j, j) for h in basis] for j in range(d)])
-    if any(all(fld.is_zero(c) for c in row) for row in functionals.data):
+    functionals = Matrix._from_entries(fld, d, len(basis), [
+        row_from_dense([h.entry(j, j) for h in basis]) for j in range(d)])
+    if not all(cols for cols, _ in functionals.entries):
         return None
     basis = [basis[c] for c in rref(functionals)[2]]
     k = len(basis)

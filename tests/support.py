@@ -88,14 +88,13 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(fld, a.rows, b.cols, out)
 
 
-def independent_hom_dim(m: Representation, n: Representation) -> int:
-    """Intertwiner-space dimension via a Kronecker-product system, over the
-    rationals or, for a prime field, with its ranks taken mod p (meant for
-    d <= 6)."""
+def kronecker_rows(m: Representation, n: Representation) -> list[list[Fraction]]:
+    """The Kronecker-product system of the intertwiners m -> n: one row of
+    vec(H A - B H) per generator (A, B) and output coordinate, over the
+    row-major entries of H, with rational entries."""
     dm, dn = m.dim, n.dim
     rows = []
     for a, b in zip(m.mats, n.mats):
-        # vec(H A - B H) row for each output coordinate, H laid out row-major
         for i in range(dn):
             for j in range(dm):
                 row = [Fraction(0)] * (dn * dm)
@@ -108,9 +107,51 @@ def independent_hom_dim(m: Representation, n: Representation) -> int:
                             coeff -= Fraction(b.data[i][r])
                         row[r * dm + c] += coeff
                 rows.append(row)
+    return rows
+
+
+def independent_hom_dim(m: Representation, n: Representation) -> int:
+    """Intertwiner-space dimension via the Kronecker-product system, over
+    the rationals or, for a prime field, with its ranks taken mod p (meant
+    for d <= 6)."""
+    rows = kronecker_rows(m, n)
     if not rows or not rows[0]:
         return 0
-    return dn * dm - independent_rank(rows, m.field.characteristic)
+    return n.dim * m.dim - independent_rank(rows, m.field.characteristic)
+
+
+def dense_intertwiner_basis(m: Representation, n: Representation,
+                            support=None) -> list[Matrix]:
+    """The canonical basis of the intertwiners m -> n held to ``support``
+    (increasing row-major indices of H; default: all of them): the kernel
+    of the Kronecker-product rows read at the supported entries, one
+    vector per free column of their ``dense_rref``, reduced by
+    ``dense_rref`` again and unflattened into n.dim x m.dim matrices."""
+    fld, dm, dn = m.field, m.dim, n.dim
+    if support is None:
+        support = range(dn * dm)
+    nvars = len(support)
+    rows = [[row[k] for k in support] for row in kronecker_rows(m, n)]
+    ech, _, pivots = dense_rref(Matrix(fld, len(rows), nvars, rows))
+    a = ech.data
+    vectors = []
+    for j in range(nvars):
+        if j in pivots:
+            continue
+        vec = [fld.zero] * nvars
+        vec[j] = fld.one
+        for r, c in enumerate(pivots):
+            vec[c] = fld.neg(a[r][j])
+        vectors.append(vec)
+    if not vectors:
+        return []
+    out = []
+    for vec in dense_rref(Matrix(fld, len(vectors), nvars, vectors))[0].data:
+        h = [[fld.zero] * dm for _ in range(dn)]
+        for k, flat in enumerate(support):
+            h[flat // dm][flat % dm] = vec[k]
+        out.append(Matrix(fld, dn, dm, h))
+    return out
 
 
 def all_vectors(p: int, d: int):

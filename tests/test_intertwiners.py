@@ -1,8 +1,9 @@
 """The intertwiner solvers, cross-checked against each other and against
 independent oracles: the spin system behind ``hom_dim`` and ``hom_basis``
-against the full-support system, brute-force counts of upper-triangular
-intertwiners over tiny prime fields, and the Kronecker-product solver in
-``support``."""
+against the full-support system (both written by one equation builder),
+every canonical basis against the dense Kronecker-product reference in
+``support``, brute-force counts of upper-triangular intertwiners over tiny
+prime fields, and the Kronecker-product rank in ``support``."""
 
 import random
 from fractions import Fraction
@@ -23,7 +24,8 @@ from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
 from moddeg.linalg import Matrix
 from moddeg.series import TriangularRep, upper_triangular_hom_basis
 
-from support import independent_hom_dim, random_invertible
+from support import (dense_intertwiner_basis, independent_hom_dim,
+                     random_invertible)
 
 KX3 = truncated_polynomial_algebra(3)
 KRON = kronecker_algebra()
@@ -85,6 +87,43 @@ def generator_tuples(draw):
           tuple_rep(KX3, QQ, 4, ("identity", "dense"), 3)))
 def test_spin_hom_matches_full_system(pair):
     assert_spin_matches_full_system(*pair)
+
+
+@st.composite
+def supported_pairs(draw):
+    """A pair of generator tuples of dimension at most 5, as in
+    ``generator_tuples``, with a support for H: its upper-triangular
+    entries or a random set of them.  The second tuple is drawn
+    independently, or is the first one conjugated by a random invertible
+    matrix, so that Hom is often nonzero."""
+    fld = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    alg = draw(st.sampled_from([KX3, KRON]))
+    m, n = (tuple_rep(alg, fld, draw(st.integers(0, 5)),
+                      draw(st.lists(st.sampled_from(KINDS),
+                                    min_size=len(alg.generators),
+                                    max_size=len(alg.generators))),
+                      draw(st.integers(0, 2 ** 30)))
+            for _ in range(2))
+    if m.dim and draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 30)))
+        n = conjugate(m, random_invertible(fld, rng, m.dim))
+    if draw(st.booleans()):
+        support = [r * m.dim + c for r in range(n.dim) for c in range(r, m.dim)]
+    elif m.dim * n.dim:
+        support = sorted(draw(st.sets(st.integers(0, m.dim * n.dim - 1))))
+    else:
+        support = []
+    return m, n, support
+
+
+@given(supported_pairs())
+@settings(max_examples=100, deadline=None)
+def test_canonical_hom_bases_match_the_dense_reference(case):
+    m, n, support = case
+    full = dense_intertwiner_basis(m, n)
+    assert [h.mat for h in hom_basis(m, n)] == full
+    assert intertwiner_basis(m, n) == full
+    assert intertwiner_basis(m, n, support) == dense_intertwiner_basis(m, n, support)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
