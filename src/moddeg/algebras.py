@@ -590,11 +590,15 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
                      max_trials: int = 32) -> Optional[ModuleMap]:
     """An invertible intertwiner m -> n, or None when provably none exists.
 
-    Dimension or Hom-dimension mismatches prove non-isomorphism.  The
-    invertibility search tries the Hom basis, then seeded random
-    combinations; over small finite fields it falls back to exhaustive
-    enumeration, which also proves the negative case.  Raises Undecided
-    when every bounded strategy is exhausted without either outcome.
+    Unequal dimensions or Hom(m, n) = 0 prove non-isomorphism at once.
+    Otherwise the witness comes first: the Hom basis is searched for an
+    invertible element, then seeded random combinations of it, and only
+    when both find nothing is the End-dimension proof computed (an
+    isomorphism makes dim End m, dim Hom(m, n) and dim End n equal).  Over
+    small finite fields that proof comes right after the basis, before
+    the exhaustive enumeration of combinations, which proves the negative
+    case when it finds none.  Raises Undecided when every bounded
+    strategy is exhausted without either outcome.
     """
     _check_compatible(m, n)
     if m.dim != n.dim:
@@ -604,15 +608,15 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
     basis = hom_basis(m, n)
     if not basis:
         return None
-    k = len(basis)
-    if not (k == hom_dim(m, m) == hom_dim(n, n)):
-        return None
     for h in basis:
         if h.mat.is_injective():
             return h
+    k = len(basis)
     mats = [h.mat for h in basis]
     fld = m.field
     if fld.finite and k <= 8 and fld.p ** k <= 1 << 16:
+        if not (k == hom_dim(m, m) == hom_dim(n, n)):
+            return None
         mat = first_combination(mats, Matrix.is_injective)
         return None if mat is None else ModuleMap(m, n, mat)
     rng = random.Random(seed)
@@ -621,6 +625,8 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
     mat = first_combination(mats, Matrix.is_injective, trials)
     if mat is not None:
         return ModuleMap(m, n, mat)
+    if not (k == hom_dim(m, m) == hom_dim(n, n)):
+        return None
     raise Undecided(
         f"no invertible intertwiner found in {max_trials} trials; "
         "hom dimensions agree so non-isomorphism is not proven")

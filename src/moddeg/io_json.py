@@ -90,12 +90,19 @@ def _parse_matrix(obj, fld, rows: int, cols, path: str) -> Matrix:
         if obj and not isinstance(obj[0], list):
             _fail("row 0 must be a list", f"{path}[0]")
         cols = len(obj[0]) if obj else 0
+    # Each distinct scalar string is parsed once; anything else goes to
+    # ``_parse_scalar``, which fails on it with its path.
+    parsed = {}
     entries = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             _fail(f"row {i} must have {cols} entries", f"{path}[{i}]")
-        entries.append(row_from_dense([_parse_scalar(v, fld, f"{path}[{i}][{j}]")
-                                       for j, v in enumerate(row)]))
+        values = []
+        for j, text in enumerate(row):
+            if not (isinstance(text, str) and text in parsed):
+                parsed[text] = _parse_scalar(text, fld, f"{path}[{i}][{j}]")
+            values.append(parsed[text])
+        entries.append(row_from_dense(values))
     return Matrix._from_entries(fld, rows, cols, entries)
 
 

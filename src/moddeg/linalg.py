@@ -5,8 +5,9 @@ nonzero entries in increasing order and their values, with no dense
 copy.  Products, sums, transposes, stacks and slices run over the stored
 entries only.  A product row whose left row holds one stored entry is the
 matching right row, as it is or scaled; other product rows sum plain int
-products and reduce once per output entry (mod p, or over QQ to one
-``Fraction`` over a common denominator).
+products and reduce once per output entry: over GF(p) into a dense int
+list of the row's length, read back once as its residues mod p, and over
+QQ into a dict, read back as ``Fraction``s over a common denominator.
 
 Elimination (``rref`` and ``EchelonTracker``) runs on sparse int rows,
 dicts from column to value: canonical residues over GF(p), and over QQ
@@ -186,8 +187,9 @@ class Matrix:
         # other[k] itself when a is one and otherwise other[k] scaled by a,
         # which stays canonical: in a field no product of nonzeros is zero.
         # Other rows sum plain int products, reduced once per output entry:
-        # mod p, or over QQ as numerators over the left row's denominator
-        # times one common denominator of the right factor.
+        # over GF(p) in a dense list of the row's length, read back as its
+        # residues mod p, and over QQ in a dict of numerators over the left
+        # row's denominator times one common denominator of the right factor.
         right = other.entries
         right_ints = None
         out = []
@@ -200,13 +202,14 @@ class Matrix:
             if not cols:
                 out.append(((), ()))
                 continue
-            acc = {}
             if p:
+                acc = [0] * other.cols
                 for k, a in zip(cols, vals):
                     for j, b in zip(*right[k]):
-                        acc[j] = acc.get(j, 0) + a * b
-                out.append(row_from_dict({j: v % p for j, v in acc.items()}))
+                        acc[j] += a * b
+                out.append(row_from_dense([v % p for v in acc]))
                 continue
+            acc = {}
             if right_ints is None:
                 den = lcm(*[v.denominator for _, vals_k in right for v in vals_k])
                 right_ints = [(cols_k, [v.numerator * (den // v.denominator) for v in vals_k])

@@ -154,6 +154,23 @@ def dense_intertwiner_basis(m: Representation, n: Representation,
     return out
 
 
+def dense_is_isomorphism(m: Representation, n: Representation,
+                         h: list[list[int]]) -> bool:
+    """Whether the dense integer matrix ``h`` is, mod the characteristic p
+    of a prime field, an invertible intertwiner m -> n of equal dimension:
+    h . m_g = n_g . h for every generator g by plain integer products, and
+    rank ``m.dim`` by ``independent_rank``."""
+    p, d = m.field.p, m.dim
+    for a, b in zip(m.mats, n.mats):
+        a, b = a.data, b.data
+        for i in range(d):
+            for j in range(d):
+                if (sum(h[i][k] * a[k][j] for k in range(d))
+                        - sum(b[i][k] * h[k][j] for k in range(d))) % p:
+                    return False
+    return independent_rank(h, p) == d
+
+
 def all_vectors(p: int, d: int):
     for tup in product(range(p), repeat=d):
         yield tup
@@ -260,6 +277,22 @@ def random_nilpotent_rep(alg: AlgebraPresentation, fld, rng: random.Random,
     ginv = inverse(g)
     mats = tuple(ginv @ (m @ g) for m in base.mats)
     return Representation(alg, fld, dim, mats)
+
+
+def random_kronecker(fld, rng: random.Random, a: int, b: int,
+                     density: float = 1.0) -> Representation:
+    """A Kronecker representation of dimension vector (a, b): e1 and e2
+    project onto the first a and the last b coordinates, and each arrow
+    entry from vertex 1 to vertex 2 is random and nonzero with probability
+    ``density``."""
+    from moddeg.fixtures import kronecker_algebra, make_rep
+    d = a + b
+    idem = [[[int(i == j and (i < a) == (v == 0)) for j in range(d)]
+             for i in range(d)] for v in (0, 1)]
+    arrows = [[[rng.randrange(1, 4) * rng.choice([-1, 1])
+                if i >= a > j and rng.random() < density else 0
+                for j in range(d)] for i in range(d)] for _ in range(2)]
+    return make_rep(kronecker_algebra(), fld, idem + arrows)
 
 
 def dense_psi(rep: Representation) -> list[Matrix]:

@@ -1,26 +1,33 @@
 """Representations, module maps, Hom spaces and module constructions."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from moddeg import (Matrix, ModuleMap, Subspace, Submodule, direct_sum,
                     cokernel_module, find_isomorphism, hom_basis, hom_dim,
                     image_module, is_isomorphic, kernel_module,
                     quotient_module, sub_representation,
                     submodule_generated, validate)
+from moddeg import algebras
+from moddeg.algebras import conjugate, hom_spin
 from moddeg.errors import AlgebraMismatch, Undecided
 from moddeg.fields import GF, QQ
-from moddeg.fixtures import (kron_i2, kron_regular, kron_s1, kron_s2,
-                             kron_dtr_s1, make_rep, regular_module,
+from moddeg.fixtures import (jordan_module, kron_i2, kron_regular, kron_s1,
+                             kron_s2, kron_dtr_s1, make_rep, regular_module,
                              simple_module, truncated_polynomial_algebra,
                              y_module)
+from moddeg.linalg import block_diag, first_combination
 
-from support import independent_hom_dim, random_nilpotent_rep
+from support import (dense_is_isomorphism, independent_hom_dim, random_invertible,
+                     random_kronecker, random_nilpotent_rep)
 
 F2 = GF(2)
 KX2 = truncated_polynomial_algebra(2)
 KX3 = truncated_polynomial_algebra(3)
+S2_QQ = direct_sum(simple_module(QQ), simple_module(QQ))[0]
 
 
 def test_validate_zero_action():
@@ -216,16 +223,21 @@ def test_isomorphism_reflexive_symmetric_on_fixtures():
 
 def test_isomorphism_detects_conjugates_and_refuses_fakes():
     rng = random.Random(21)
+    every_matrix = [[list(cells[r:r + 3]) for r in (0, 3, 6)]
+                    for cells in product(range(2), repeat=9)]
+    answers = set()
     for _ in range(10):
         rep = random_nilpotent_rep(KX3, F2, rng, 3, 3)
         other = random_nilpotent_rep(KX3, F2, rng, 3, 3)
         w = find_isomorphism(rep, other, seed=1)
+        answers.add(w is None)
         if w is not None:
             # a returned witness is always verified invertible + intertwining
             assert w.mat.rank() == 3 and w.is_intertwiner()
         else:
-            assert hom_dim(rep, other) != hom_dim(rep, rep) or \
-                hom_dim(rep, rep) != hom_dim(other, other) or True
+            # a "no" is checked by trying all 2^9 matrices over GF(2)
+            assert not any(dense_is_isomorphism(rep, other, h) for h in every_matrix)
+    assert answers == {True, False}
 
 
 def test_hom_dim_zero_module():
@@ -243,6 +255,122 @@ def test_undecided_is_distinguished_from_false():
     with pytest.raises(Undecided):
         find_isomorphism(s2, s2, max_trials=0)
     assert find_isomorphism(s2, s2) is not None
+
+
+def test_find_isomorphism_spins_once_when_the_hom_basis_holds_a_witness(monkeypatch):
+    fld = GF(101)
+    rng = random.Random(5)
+    m = random_kronecker(fld, rng, 5, 5)
+    n = conjugate(m, block_diag(random_invertible(fld, rng, 5),
+                                random_invertible(fld, rng, 5)))
+    assert hom_basis(m, n)[0].mat.is_injective()
+    spins = []
+
+    def counted(*args):
+        spins.append(args)
+        return hom_spin(*args)
+    monkeypatch.setattr(algebras, "hom_spin", counted)
+    witness = find_isomorphism(m, n)
+    assert len(spins) == 1
+    assert witness.mat.is_injective() and witness.is_intertwiner()
+
+
+def proof_first_isomorphism(m, n, seed=0, max_trials=32):
+    """``find_isomorphism`` as it ran before the witness search came
+    first: the End-dimension proof right after the Hom basis is computed,
+    then the search of the basis, then the exhaustive or seeded random
+    search."""
+    if m.dim != n.dim:
+        return None
+    if m.dim == 0:
+        return ModuleMap(m, n, Matrix.zeros(m.field, 0, 0))
+    basis = hom_basis(m, n)
+    if not basis:
+        return None
+    k = len(basis)
+    if not (k == hom_dim(m, m) == hom_dim(n, n)):
+        return None
+    for h in basis:
+        if h.mat.is_injective():
+            return h
+    mats = [h.mat for h in basis]
+    fld = m.field
+    if fld.finite and k <= 8 and fld.p ** k <= 1 << 16:
+        mat = first_combination(mats, Matrix.is_injective)
+        return None if mat is None else ModuleMap(m, n, mat)
+    rng = random.Random(seed)
+    trials = ([fld.sample(rng, 1 + trial // 8) for _ in range(k)]
+              for trial in range(max_trials))
+    mat = first_combination(mats, Matrix.is_injective, trials)
+    if mat is not None:
+        return ModuleMap(m, n, mat)
+    raise Undecided("search exhausted")
+
+
+def jordan_pair(fld, lam, mu, seed):
+    """J_lam and J_mu over k[X]/(X^3), each conjugated at random."""
+    rng = random.Random(seed)
+    return tuple(conjugate(jordan_module(fld, 3, part),
+                           random_invertible(fld, rng, sum(part)))
+                 for part in (lam, mu))
+
+
+def partitions(d, largest=None):
+    if d == 0:
+        yield ()
+        return
+    for part in range(min(d, largest or d), 0, -1):
+        for rest in partitions(d - part, part):
+            yield (part, *rest)
+
+
+@st.composite
+def isomorphism_queries(draw):
+    """``(m, n, seed, max_trials)`` over QQ, GF(2) or GF(101) at dimension
+    at most 5: Jordan modules of k[X]/(X^3) of two drawn types of one
+    dimension (non-isomorphic pairs such as (3) and (2, 1) share
+    [M, N] = [M, M]), or a random k[X]/(X^3) or Kronecker module with a
+    conjugate or an independent draw of the same shape."""
+    fld = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 30)))
+    kind = draw(st.sampled_from(["jordan", "conjugate", "independent"]))
+    if kind == "jordan":
+        d = draw(st.integers(1, 5))
+        lam, mu = (draw(st.sampled_from([part for part in partitions(d)
+                                         if part[0] <= 3]))
+                   for _ in range(2))
+        m, n = jordan_pair(fld, lam, mu, rng.randrange(2 ** 30))
+    else:
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+            density = draw(st.sampled_from([0.3, 1.0]))
+            m, n = (random_kronecker(fld, rng, a, b, density) for _ in range(2))
+        else:
+            d = draw(st.integers(1, 5))
+            m, n = (random_nilpotent_rep(KX3, fld, rng, d, 3) for _ in range(2))
+        if kind == "conjugate":
+            n = conjugate(m, random_invertible(fld, rng, m.dim))
+    return m, n, draw(st.integers(0, 3)), draw(st.integers(0, 2))
+
+
+def isomorphism_outcome(find, m, n, seed, max_trials):
+    try:
+        found = find(m, n, seed=seed, max_trials=max_trials)
+    except Undecided:
+        return "undecided"
+    return None if found is None else found.mat
+
+
+@given(isomorphism_queries())
+@settings(max_examples=150, deadline=None)
+@example((*jordan_pair(GF(101), (3,), (2, 1), 1), 0, 2))
+@example((*jordan_pair(QQ, (3, 2), (3, 1, 1), 2), 1, 0))
+@example((*jordan_pair(GF(2), (2, 1), (2, 1), 3), 0, 1))
+@example((S2_QQ, S2_QQ, 0, 0))
+def test_witness_first_isomorphism_agrees_with_proof_first_order(query):
+    outcomes = [isomorphism_outcome(find, *query)
+                for find in (find_isomorphism, proof_first_isomorphism)]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_unit_generator_rule():

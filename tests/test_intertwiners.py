@@ -68,15 +68,24 @@ def assert_spin_matches_full_system(m, n):
 @st.composite
 def generator_tuples(draw):
     """A pair of generator tuples for k[X]/(X^3) or the Kronecker quiver
-    over QQ, GF(2) or GF(101), of dimensions drawn independently."""
+    over QQ, GF(2) or GF(101), of dimensions drawn independently.  Half
+    the time the second tuple is the first one conjugated by a random
+    invertible matrix, so that Hom is often nonzero."""
     fld = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     alg = draw(st.sampled_from([KX3, KRON]))
-    return tuple(tuple_rep(alg, fld, draw(st.integers(0, 6)),
-                           draw(st.lists(st.sampled_from(KINDS),
-                                         min_size=len(alg.generators),
-                                         max_size=len(alg.generators))),
-                           draw(st.integers(0, 2 ** 30)))
-                 for _ in range(2))
+    conjugated = draw(st.booleans())
+
+    def draw_tuple(least):
+        return tuple_rep(alg, fld, draw(st.integers(least, 6)),
+                         draw(st.lists(st.sampled_from(KINDS),
+                                       min_size=len(alg.generators),
+                                       max_size=len(alg.generators))),
+                         draw(st.integers(0, 2 ** 30)))
+    m = draw_tuple(1 if conjugated else 0)
+    if not conjugated:
+        return m, draw_tuple(0)
+    rng = random.Random(draw(st.integers(0, 2 ** 30)))
+    return m, conjugate(m, random_invertible(fld, rng, m.dim))
 
 
 @given(generator_tuples())

@@ -40,3 +40,25 @@ def test_every_module_level_import_is_used():
                   for name, line in imported.items()
                   if name not in used and name != "annotations"]
     assert found == []
+
+
+
+def _data_reads(node, where=None):
+    """The innermost enclosing function name of every ``.data`` read below
+    ``node`` (None outside any function)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _data_reads(child, child.name)
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == "data":
+            yield where
+        yield from _data_reads(child, where)
+
+
+def test_dense_view_is_read_only_by_the_encoder_and_repr():
+    """``Matrix.data`` builds a dense copy on every read, so library code
+    reads the stored rows; only the JSON encoder and ``Matrix.__repr__``,
+    which print every cell, read ``.data``."""
+    found = {(path.name, where) for path in SOURCES
+             for where in _data_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("io_json.py", "_encode"), ("linalg.py", "__repr__")}

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moddeg.algebras import hom_dim
 from moddeg.errors import FieldMismatch, NotContained
@@ -423,6 +423,44 @@ def test_sparse_kernels_match_dense_references_on_large_sparse_matrices(m, data)
     product = a @ m
     assert_stored_rows_canonical(product)
     assert product == dense_matmul(a, m)
+
+
+@st.composite
+def dense_gf_factors(draw):
+    """Two factors over GF(2), GF(101) or GF(32003) whose cells are nonzero
+    with probability 1/2 or 1, with about a third of the left rows forced
+    to zero, in shapes up to 12 x 12 times 12 x 12 that are often 1 x n or
+    n x 1.  Over GF(2) at full density every product entry sums ones and
+    cancels to zero when the inner dimension is even."""
+    fld = draw(st.sampled_from([F2, F101, F32003]))
+    rows, inner, cols = (draw(st.one_of(st.just(1), st.integers(1, 12)))
+                         for _ in range(3))
+    density = draw(st.sampled_from([0.5, 1]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    zero_rows = set(rng.sample(range(rows), rows // 3))
+
+    def factor(nrows, ncols, zero_rows=()):
+        return Matrix.from_rows(fld, [[rng.randrange(1, fld.p)
+                                       if i not in zero_rows and rng.random() < density
+                                       else 0 for _ in range(ncols)]
+                                      for i in range(nrows)])
+    return factor(rows, inner, zero_rows), factor(inner, cols)
+
+
+def ones(fld, rows, cols):
+    return Matrix.from_rows(fld, [[1] * cols for _ in range(rows)])
+
+
+@given(dense_gf_factors())
+@settings(max_examples=200, deadline=None)
+@example((ones(F2, 3, 4), ones(F2, 4, 2)))
+@example((Matrix.from_rows(F2, [[1, 1, 0], [0, 0, 0], [1, 1, 1]]), ones(F2, 3, 5)))
+@example((Matrix.from_rows(F101, [[1, 100]]), Matrix.from_rows(F101, [[5], [5]])))
+def test_dense_gf_products_match_dense_reference(factors):
+    a, b = factors
+    product = a @ b
+    assert_stored_rows_canonical(product)
+    assert product == dense_matmul(a, b)
 
 
 class CountingField(PrimeField):
