@@ -23,6 +23,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
@@ -591,12 +592,13 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
     """An invertible intertwiner m -> n, or None when provably none exists.
 
     Unequal dimensions or Hom(m, n) = 0 prove non-isomorphism at once.
-    Otherwise the witness comes first: the Hom basis is searched for an
-    invertible element, then seeded random combinations of it, and only
-    when both find nothing is the End-dimension proof computed (an
-    isomorphism makes dim End m, dim Hom(m, n) and dim End n equal).  Over
-    small finite fields that proof comes right after the basis, before
-    the exhaustive enumeration of combinations, which proves the negative
+    Otherwise the Hom basis is searched for an invertible element, then
+    one seeded random combination of it is tried, and only then is the
+    End-dimension proof computed (an isomorphism makes dim End m,
+    dim Hom(m, n) and dim End n equal); the remaining random combinations
+    come after it, so a "no" costs at most one trial.  Over small finite
+    fields the proof comes right after the basis and is followed by the
+    exhaustive enumeration of combinations, which proves the negative
     case when it finds none.  Raises Undecided when every bounded
     strategy is exhausted without either outcome.
     """
@@ -614,18 +616,20 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
     k = len(basis)
     mats = [h.mat for h in basis]
     fld = m.field
-    if fld.finite and k <= 8 and fld.p ** k <= 1 << 16:
+    exhaustive = fld.finite and k <= 8 and fld.p ** k <= 1 << 16
+    mat = trials = None
+    if not exhaustive:
+        rng = random.Random(seed)
+        trials = ([fld.sample(rng, 1 + trial // 8) for _ in range(k)]
+                  for trial in range(max_trials))
+        mat = first_combination(mats, Matrix.is_injective, islice(trials, 1))
+    if mat is None:
         if not (k == hom_dim(m, m) == hom_dim(n, n)):
             return None
-        mat = first_combination(mats, Matrix.is_injective)
-        return None if mat is None else ModuleMap(m, n, mat)
-    rng = random.Random(seed)
-    trials = ([fld.sample(rng, 1 + trial // 8) for _ in range(k)]
-              for trial in range(max_trials))
-    mat = first_combination(mats, Matrix.is_injective, trials)
+        mat = first_combination(mats, Matrix.is_injective, trials)
     if mat is not None:
         return ModuleMap(m, n, mat)
-    if not (k == hom_dim(m, m) == hom_dim(n, n)):
+    if exhaustive:
         return None
     raise Undecided(
         f"no invertible intertwiner found in {max_trials} trials; "

@@ -2,12 +2,14 @@
 
 Matrices are stored row-sparse: each row once, as the columns of its
 nonzero entries in increasing order and their values, with no dense
-copy.  Products, sums, transposes, stacks and slices run over the stored
-entries only.  A product row whose left row holds one stored entry is the
-matching right row, as it is or scaled; other product rows sum plain int
-products and reduce once per output entry: over GF(p) into a dense int
-list of the row's length, read back once as its residues mod p, and over
-QQ into a dict, read back as ``Fraction``s over a common denominator.
+copy.  Sums, transposes, stacks and slices run over the stored entries
+only, and so do products, but for one dense pass noted below.  A product
+row whose left row holds one stored entry is the matching right row, as
+it is or scaled; other product rows sum plain int products and reduce
+once per output entry: over GF(p) into a dense int list of the row's
+length, read back once as its residues mod p, so such a row costs
+O(other.cols) however sparse the right factor is, and over QQ into a
+dict, read back as ``Fraction``s over a common denominator.
 
 Elimination (``rref`` and ``EchelonTracker``) runs on sparse int rows,
 dicts from column to value: canonical residues over GF(p), and over QQ

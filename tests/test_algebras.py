@@ -11,7 +11,7 @@ from moddeg import (Matrix, ModuleMap, Subspace, Submodule, direct_sum,
                     image_module, is_isomorphic, kernel_module,
                     quotient_module, sub_representation,
                     submodule_generated, validate)
-from moddeg import algebras
+from moddeg import algebras, linalg
 from moddeg.algebras import conjugate, hom_spin
 from moddeg.errors import AlgebraMismatch, Undecided
 from moddeg.fields import GF, QQ
@@ -19,7 +19,7 @@ from moddeg.fixtures import (jordan_module, kron_i2, kron_regular, kron_s1,
                              kron_s2, kron_dtr_s1, make_rep, regular_module,
                              simple_module, truncated_polynomial_algebra,
                              y_module)
-from moddeg.linalg import block_diag, first_combination
+from moddeg.linalg import block_diag, combination, first_combination
 
 from support import (dense_is_isomorphism, independent_hom_dim, random_invertible,
                      random_kronecker, random_nilpotent_rep)
@@ -274,6 +274,23 @@ def test_find_isomorphism_spins_once_when_the_hom_basis_holds_a_witness(monkeypa
     assert len(spins) == 1
     assert witness.mat.is_injective() and witness.is_intertwiner()
 
+
+
+def test_find_isomorphism_tries_one_combination_before_proving_a_no(monkeypatch):
+    """J_(3,2) and J_(3,1,1) over QQ have nonzero Hom, no invertible Hom
+    basis element and unequal End dimensions: one random combination is
+    tried, then the End-dimension proof answers "no"."""
+    m, n = jordan_pair(QQ, (3, 2), (3, 1, 1), 4)
+    basis = hom_basis(m, n)
+    assert basis and not any(h.mat.is_injective() for h in basis)
+    combinations = []
+
+    def counted(coeffs, mats):
+        combinations.append(coeffs)
+        return combination(coeffs, mats)
+    monkeypatch.setattr(linalg, "combination", counted)
+    assert find_isomorphism(m, n) is None
+    assert len(combinations) == 1
 
 def proof_first_isomorphism(m, n, seed=0, max_trials=32):
     """``find_isomorphism`` as it ran before the witness search came
