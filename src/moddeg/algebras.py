@@ -8,13 +8,14 @@ never symbolically.  Module elements are column vectors and a word
 ``(i, j)`` in a relation acts as ``mats[i] @ mats[j]``.
 
 One builder, ``intertwiner_equations``, writes the equations
-n_g (H b_j) = H (m_g b_j) of an intertwiner H on a basis b of M.  Hom(M, N)
-is solved on the spin basis (``hom_spin``): H is fixed by its values on the
-t roots from which the generators spin b, so ``hom_dim`` and ``hom_basis``
-solve for t * dim N unknowns.  ``intertwiner_system`` takes the unit
-vectors, one unknown per entry of H, for intertwiners held to a support
-(the triangular Hom of ``series``) and for the certificate lift of
-``degeneration``.
+n_g (H b_j) = H (m_g b_j) of an intertwiner H on a basis b of M.  Every
+full Hom(M, N) is solved on the spin basis (``hom_spin``): H is fixed by
+its values on the t roots from which the generators spin b, so the system
+has t * dim N unknowns.  ``hom_rows`` reads its kernel back as the
+canonical flattened basis, behind ``hom_basis`` and the certificate lift
+of ``degeneration``; ``hom_dim`` needs only the rank.  ``intertwiner_basis``
+takes the unit vectors, one unknown per entry of H, for intertwiners held
+to a support (the triangular Hom of ``series``).
 """
 
 from __future__ import annotations
@@ -323,33 +324,6 @@ def intertwiner_equations(fld, nvars: int, words: Sequence[Matrix],
     return Matrix._from_entries(fld, len(rows), nvars, rows)
 
 
-def column_places(rows: int, cols: int, support: Sequence[int]) -> list[list]:
-    """Per column j of a rows x cols H, the unknown of each H[r][j]: the
-    position of ``r * cols + j`` in ``support``, or None (held at zero)."""
-    unknown = [None] * (rows * cols)
-    for k, flat in enumerate(support):
-        unknown[flat] = k
-    return [unknown[j::cols] for j in range(cols)]
-
-
-def intertwiner_system(m: Representation, n: Representation,
-                       support: Optional[Sequence[int]] = None) -> Matrix:
-    """The equations ``n_g . H = H . m_g`` of an n.dim x m.dim matrix H:
-    ``intertwiner_equations`` on the unit vectors e_j of M, with column j
-    of H as H e_j and the identity as every word.  The unknowns are the
-    entries H[r][c] at the row-major indices ``r * m.dim + c`` listed in
-    ``support`` (default: all of them), in that order; every other entry
-    of H is held at zero."""
-    _check_compatible(m, n)
-    fld, dm, dn = m.field, m.dim, n.dim
-    if support is None:
-        support = range(dn * dm)
-    pending = [(b, j, col) for a, b in zip(m.mats, n.mats)
-               for j, col in enumerate(a.transpose().entries)]
-    return intertwiner_equations(fld, len(support), [Matrix.identity(fld, dn)] * dm,
-                                 column_places(dn, dm, support), pending)
-
-
 def unflatten(fld, rows: int, cols: int, vector: tuple,
               support: Optional[Sequence[int]] = None) -> Matrix:
     """The rows x cols matrix holding entry k of the stored row ``vector``
@@ -369,12 +343,25 @@ def unflatten(fld, rows: int, cols: int, vector: tuple,
 
 
 def intertwiner_basis(m: Representation, n: Representation,
-                      support: Optional[Sequence[int]] = None) -> list[Matrix]:
-    """Canonical basis of the intertwiners m -> n supported on ``support``
-    (see ``intertwiner_system``), read off the kernel echelon form."""
-    ker = kernel(intertwiner_system(m, n, support))
-    return [unflatten(m.field, n.dim, m.dim, vec, support)
-            for vec in ker.basis.transpose().entries]
+                      support: Sequence[int]) -> list[Matrix]:
+    """Canonical basis of the n.dim x m.dim intertwiners H: m -> n held to
+    ``support``, read off the kernel echelon form.  The unknowns are the
+    entries H[r][c] at the increasing row-major indices ``r * m.dim + c``
+    listed in ``support``, in that order, and every other entry of H is
+    held at zero.  The equations are ``intertwiner_equations`` on the unit
+    vectors e_j of M, with column j of H as H e_j and the identity as
+    every word."""
+    _check_compatible(m, n)
+    fld, dm, dn = m.field, m.dim, n.dim
+    unknown = [None] * (dn * dm)
+    for k, flat in enumerate(support):
+        unknown[flat] = k
+    pending = [(b, j, col) for a, b in zip(m.mats, n.mats)
+               for j, col in enumerate(a.transpose().entries)]
+    system = intertwiner_equations(fld, len(support), [Matrix.identity(fld, dn)] * dm,
+                                   [unknown[j::dm] for j in range(dm)], pending)
+    return [unflatten(fld, dn, dm, vec, support)
+            for vec in kernel(system).basis.transpose().entries]
 
 
 @dataclass(frozen=True)
@@ -382,18 +369,19 @@ class HomSpin:
     """The intertwiner equations of m -> n in the images of m's spin roots.
 
     m is spun from greedy unit vectors e_0, e_1, .. under the generators
-    that are not the identity on both sides.  Column j of the spin basis B
-    is a root (``steps[j]`` is None) or m_g times an earlier column
-    (``steps[j]`` is ``(parent, g)``).  An intertwiner H is fixed by the
-    images h_k of the roots, numbered in order: H b_j = W_j h_k for the
-    root k of b_j, with W_j the word in the n_g that spun b_j.
-    ``equations`` are ``intertwiner_equations`` on B, with the W_j as words
-    and each root's block of unknowns in the stacked h_k as places, for
-    every image m_g b_j that did not become a column.  ``inverse`` is B^-1.
+    that are not the identity on both sides, into the columns b_j of the
+    spin basis B.  An intertwiner H is fixed by the images h_k of the
+    roots, stacked in order as the unknowns: H b_j = W_j h_k for the root
+    k of b_j, with ``words[j]`` the word W_j in the n_g that spun b_j (the
+    identity at a root) and ``places[j]`` the block of unknowns holding
+    h_k.  ``equations`` are ``intertwiner_equations`` on B with these
+    words and places, for every image m_g b_j that did not become a
+    column; its column count is the number of unknowns.  ``inverse`` is
+    B^-1.
     """
 
-    roots: int
-    steps: tuple
+    words: tuple
+    places: tuple
     inverse: Matrix
     equations: Matrix
 
@@ -407,9 +395,9 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
     gens = [g for g, (a, b) in enumerate(zip(m.mats, n.mats))
             if a != one_m or b != one_n]
     tracker = EchelonTracker(fld, dm)
-    columns, steps, words, places = [], [], [], []
+    columns, words, places = [], [], []
     pending = []          # (n_g W_j, j, m_g b_j) for every image already in the span
-    roots = 0
+    nvars = 0
     for i in range(dm):
         if len(columns) == dm:
             break
@@ -418,17 +406,15 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
             continue
         j = len(columns)
         columns.append(unit)
-        steps.append(None)
         words.append(one_n)
-        places.append(range(roots * dn, (roots + 1) * dn))
-        roots += 1
+        places.append(range(nvars, nvars + dn))
+        nvars += dn
         while j < len(columns):
             for g in gens:
                 vec = m.mats[g] @ columns[j]
-                lead = n.mats[g] if steps[j] is None else n.mats[g] @ words[j]
+                lead = n.mats[g] if words[j] is one_n else n.mats[g] @ words[j]
                 if tracker.add(vec.transpose().entries[0]):
                     columns.append(vec)
-                    steps.append((j, g))
                     words.append(lead)
                     places.append(places[j])
                 else:
@@ -438,65 +424,48 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
                          hstack(*[vec for _, _, vec in pending], one_m))
     coords = solved.transpose().entries
     npairs = len(pending)
-    return HomSpin(roots, tuple(steps),
+    return HomSpin(tuple(words), tuple(places),
                    solved.submatrix(range(dm), range(npairs, npairs + dm)),
-                   intertwiner_equations(fld, roots * dn, words, places, [
+                   intertwiner_equations(fld, nvars, words, places, [
                        (lead, j, c) for (lead, j, _), c in zip(pending, coords)]))
 
 
-def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
-    """The canonical basis of the intertwiner space Hom(m, n): the reduced
-    row echelon form of the row-major flattened maps, which is unique, so
-    the output is deterministic.
+def hom_rows(m: Representation, n: Representation) -> Matrix:
+    """The canonical basis of Hom(m, n) as the rows of a kb x n.dim*m.dim
+    matrix: the reduced row echelon form of the row-major flattened maps,
+    which is unique, so the output is deterministic.
 
-    Each kernel vector of the spin system (``hom_spin``) gives the images
-    h_k of the roots; the blocks W_j K_{k_j} (n_g times the parent
-    column's block) hold H b_j for every kernel vector at once, and one
-    product with B^-1 turns them into the maps."""
+    For the kernel basis K of the spin system (``hom_spin``), the block
+    W_j K[places[j]] holds H b_j for every kernel vector at once.  Stacked
+    so that row r * m.dim + j is row r of block j, column v holds H_v B
+    flattened, and ``block_diag`` of n.dim copies of B^-T turns it into
+    H_v flattened."""
     spin = hom_spin(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
     ker = kernel(spin.equations).basis
     kb = ker.cols
     if not kb:
-        return []
-    blocks = (ker.submatrix(range(lo, lo + dn), range(kb))
-              for lo in range(0, spin.roots * dn, dn))
-    images = []           # H b_j for every kernel vector: a dn x kb block
-    for step in spin.steps:
-        if step is None:
-            images.append(next(blocks))
-        else:
-            parent, g = step
-            images.append(n.mats[g] @ images[parent])
-    # Row v * dn + r of ``spun`` is row r of H_v B, for kernel vector v.
-    spun_cols = [[] for _ in range(kb * dn)]
-    spun_vals = [[] for _ in range(kb * dn)]
-    for j, block in enumerate(images):
-        for r, row in enumerate(block.entries):
-            for v, x in zip(*row):
-                spun_cols[v * dn + r].append(j)
-                spun_vals[v * dn + r].append(x)
-    spun = Matrix._from_entries(fld, kb * dn, dm, [
-        (tuple(c), tuple(x)) for c, x in zip(spun_cols, spun_vals)])
-    maps = (spun @ spin.inverse).entries
-    flat = []
-    for v in range(kb):
-        cols, vals = [], []
-        for r in range(dn):
-            row_cols, row_vals = maps[v * dn + r]
-            cols += [r * dm + c for c in row_cols]
-            vals += row_vals
-        flat.append((tuple(cols), tuple(vals)))
-    # The maps are independent, so every row of the echelon form is nonzero.
-    ech = rref(Matrix._from_entries(fld, kb, dn * dm, flat))[0]
-    return [ModuleMap(m, n, unflatten(fld, dn, dm, row)) for row in ech.entries]
+        return Matrix.zeros(fld, 0, dn * dm)
+    images = [w @ ker.submatrix(place, range(kb))
+              for w, place in zip(spin.words, spin.places)]
+    spun = Matrix._from_entries(fld, dn * dm, kb, [
+        images[j].entries[r] for r in range(dn) for j in range(dm)])
+    maps = block_diag(*[spin.inverse.transpose()] * dn) @ spun
+    return rref(maps.transpose())[0]
+
+
+def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
+    """The canonical basis of the intertwiner space Hom(m, n): the rows of
+    ``hom_rows`` read back as n.dim x m.dim maps."""
+    return [ModuleMap(m, n, unflatten(m.field, n.dim, m.dim, row))
+            for row in hom_rows(m, n).entries]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    """dim Hom(m, n): the roots * n.dim unknowns of the spin system
-    (``hom_spin``) less its rank."""
-    spin = hom_spin(m, n)
-    return spin.roots * n.dim - spin.equations.rank()
+    """dim Hom(m, n): the unknowns of the spin system (``hom_spin``) less
+    its rank."""
+    equations = hom_spin(m, n).equations
+    return equations.cols - equations.rank()
 
 
 def conjugate(rep: Representation, basis: Matrix) -> Representation:

@@ -19,9 +19,8 @@ from .errors import (AlgebraMismatch, DimensionMismatch,
                      InternalInvariantViolation, NoLift, NotSubmodule,
                      VerificationFailed)
 from .algebras import (CheckItem, ModuleMap, Report, Representation,
-                       Submodule, column_places, direct_sum, hom_dim,
-                       intertwiner_system, sub_representation, unflatten,
-                       zero_representation)
+                       Submodule, direct_sum, hom_dim, hom_rows,
+                       sub_representation, unflatten, zero_representation)
 from .linalg import (Matrix, Subspace, block_diag, hstack, image, kernel,
                      preimage, solve_right, vstack)
 
@@ -234,8 +233,9 @@ def compose_certificates(c1: RiedtmannCertificate,
     """Explicit certificate for A <=deg C from certificates A <=deg B and
     B <=deg C.
 
-    Solves for a module map (s; t): W -> X (+) A with q1 o (s; t) = g2 (an
-    intertwiner system with an affine right-hand side).  The operation is
+    Solves for a module map (s; t): W -> X (+) A with q1 o (s; t) = g2: the
+    maps held to Hom(W, X (+) A) by the spin solver's canonical basis
+    (``hom_rows``), under an affine right-hand side.  The operation is
     partial by design: when no lift exists it raises NoLift, although the
     composed degeneration still holds mathematically.
     """
@@ -246,16 +246,16 @@ def compose_certificates(c1: RiedtmannCertificate,
     w, xm = c2.x, c1.middle
     dw, dxm = w.dim, xm.dim
     q1 = c1.q.mat
-    # Below the intertwiner rows, the rows q1 . (lift e_j) = g2 e_j for
-    # each column j: q1's stored rows read at the unknowns of column j.
-    places = column_places(dxm, dw, range(dxm * dw))
-    lifts = [(tuple([place[s] for s in cols]), vals)
-             for place in places for cols, vals in q1.entries]
-    system = intertwiner_system(w, xm)
+    # The lift H is row-major flattened.  Rows whose kernel is exactly
+    # Hom(W, X (+) A) hold H in it; below them, the rows q1 . (H e_j) = g2 e_j
+    # for each column j read q1's stored rows at the entries H[s][j].
+    homs = kernel(hom_rows(w, xm)).basis.transpose()
+    lifts = [(tuple([s * dw + j for s in cols]), vals)
+             for j in range(dw) for cols, vals in q1.entries]
     g2 = c2.g.mat
     sol = solve_right(
-        vstack(system, Matrix._from_entries(fld, len(lifts), dxm * dw, lifts)),
-        vstack(Matrix.zeros(fld, system.rows, 1),
+        vstack(homs, Matrix._from_entries(fld, len(lifts), dxm * dw, lifts)),
+        vstack(Matrix.zeros(fld, homs.rows, 1),
                *[g2.column_matrix(j) for j in range(dw)]))
     if sol is None:
         raise NoLift("no module map (s; t) with q1 o (s; t) = g2 exists; "

@@ -212,6 +212,8 @@ def _parse_certificate(obj, alg, fld, path) -> RiedtmannCertificate:
 def _parse_ladder(obj, alg, fld, path) -> LadderCertificate:
     if not isinstance(obj["x"], list):
         _fail("x must be a list of representations", path + ".x")
+    if not obj["x"]:
+        _fail("a ladder needs at least one column", path + ".x")
     xs = [_parse_rep(o, alg, fld, f"{path}.x[{i}]") for i, o in enumerate(obj["x"])]
     d = len(xs)
 

@@ -117,6 +117,8 @@ class Matrix:
             rows = len(columns[0])
         elif rows is None:
             raise DimensionMismatch("empty matrix needs an explicit row count")
+        if any(len(col) != rows for col in columns):
+            raise DimensionMismatch("matrix columns differ in length")
         return cls(field, rows, len(columns),
                    [[col[i] for col in columns] for i in range(rows)])
 

@@ -1,12 +1,17 @@
 """Certificates, codimension arithmetic, submodule transport, splitting,
 composition and the virtual-degeneration chain."""
 
+import random
+from itertools import product
+
 import pytest
 
-from moddeg import (Matrix, Submodule, Subspace, codim, compose_certificates,
-                    direct_sum, hom_defect, is_isomorphic, orbit_dim_gl,
-                    push_submodule, split_submodule, trivial_certificate,
-                    verify_certificate, virtual_chain)
+from moddeg import (Matrix, ModuleMap, Submodule, Subspace, codim,
+                    compose_certificates, direct_sum, hom_defect,
+                    is_isomorphic, orbit_dim_gl, push_submodule,
+                    split_submodule, trivial_certificate, verify_certificate,
+                    virtual_chain)
+from moddeg.algebras import conjugate
 from moddeg.degeneration import RiedtmannCertificate
 from moddeg.errors import DimensionMismatch, NoLift
 from moddeg.fields import GF, QQ
@@ -17,7 +22,10 @@ from moddeg.fixtures import (cert_dual_chain, cert_dual_eta,
                              kron_regular, kron_s1, kron_s2, kron_dtr_s1,
                              regular_module, simple_module,
                              sub_dual_lambda_s)
+from moddeg.linalg import vstack
 from moddeg.oracles import enum_submodules
+
+from support import dense_rref, kronecker_rows, random_invertible
 
 F2 = GF(2)
 
@@ -164,6 +172,91 @@ def test_compose_reports_missing_lift():
     with pytest.raises(NoLift):
         compose_certificates(cert_nilp3_32(QQ), cert_nilp3_21(QQ))
     assert verify_certificate(cert_nilp3_31(QQ)).ok
+
+
+FIXTURE_CERTS = (cert_dual_chain, cert_dual_eta, cert_dual_s2_to_s4,
+                 cert_dual_theta, cert_kron_i2, cert_nilp3_21, cert_nilp3_31,
+                 cert_nilp3_32)
+
+
+def chained_pairs(fld) -> list:
+    """Every pair of fixture certificates that chains (c1.n = c2.m), and
+    every fixture composed with the trivial certificate on either side."""
+    certs = [make(fld) for make in FIXTURE_CERTS]
+    pairs = [(c1, c2) for c1, c2 in product(certs, repeat=2) if c1.n == c2.m]
+    for cert in certs:
+        pairs += [(trivial_certificate(cert.m), cert),
+                  (cert, trivial_certificate(cert.n))]
+    return pairs
+
+
+def recast(cert, bx, bm, bn):
+    """The certificate with X, M and N rewritten in the columns of the
+    invertible bx, bm and bn (each module R becomes b^-1 R b)."""
+    return cert.restrict(*[ModuleMap(conjugate(rep, b), rep, b)
+                           for rep, b in ((cert.x, bx), (cert.m, bm), (cert.n, bn))])
+
+
+def conjugated_pair(c1, c2, rng):
+    """The chained pair with the shared module c1.n = c2.m, the lift's
+    source W = c2.x and the summands X = c1.x and A = c1.m of its target
+    conjugated by seeded random invertible matrices, so the lifts are not
+    all identities."""
+    fld = c1.m.field
+
+    def basis(rep):
+        return random_invertible(fld, rng, rep.dim) if rep.dim else Matrix.identity(fld, 0)
+    shared = basis(c1.n)
+    return (recast(c1, basis(c1.x), basis(c1.m), shared),
+            recast(c2, basis(c2.x), shared, Matrix.identity(fld, c2.n.dim)))
+
+
+def dense_lift(c1, c2):
+    """The lift H: W -> X (+) A with q1 . H = g2 as one dense system: the
+    Kronecker-product rows of the intertwiners W -> X (+) A with right-hand
+    side zero, then per column j of H the rows q1 . (H e_j) = g2 e_j, solved
+    by ``dense_rref`` with every free variable at zero; None when the
+    system is inconsistent."""
+    fld, w, xm = c1.m.field, c2.x, c1.middle
+    dw, nvars = w.dim, xm.dim * w.dim
+    rows = [row + [0] for row in kronecker_rows(w, xm)]
+    g2 = c2.g.mat.data
+    for j in range(dw):
+        for i, q_row in enumerate(c1.q.mat.data):
+            row = [0] * (nvars + 1)
+            for s, v in enumerate(q_row):
+                row[s * dw + j] = v
+            row[nvars] = g2[i][j]
+            rows.append(row)
+    ech, _, pivots = dense_rref(Matrix(fld, len(rows), nvars + 1, rows))
+    if nvars in pivots:
+        return None
+    flat = [fld.zero] * nvars
+    for r, c in enumerate(pivots):
+        flat[c] = ech.data[r][nvars]
+    return Matrix(fld, xm.dim, dw, [flat[r * dw:(r + 1) * dw] for r in range(xm.dim)])
+
+
+@pytest.mark.parametrize("fld", [QQ, F2, GF(3), GF(101)], ids=str)
+def test_compose_lift_matches_the_dense_reference(fld):
+    rng = random.Random(17)
+    outcomes = []
+    for c1, c2 in chained_pairs(fld):
+        c1, c2 = conjugated_pair(c1, c2, rng)
+        assert verify_certificate(c1).ok and verify_certificate(c2).ok
+        expected = dense_lift(c1, c2)
+        outcomes.append(expected is not None)
+        if expected is None:
+            with pytest.raises(NoLift):
+                compose_certificates(c1, c2)
+            continue
+        composed = compose_certificates(c1, c2)
+        dx, dw = c1.x.dim, c2.x.dim
+        lift = vstack(composed.f.mat.submatrix(range(dx), range(dx, dx + dw)),
+                      composed.g.mat.submatrix(range(c1.m.dim), range(dx, dx + dw)))
+        assert lift == expected
+        assert composed.m == c1.m and composed.n == c2.n
+    assert True in outcomes and False in outcomes
 
 
 def test_hom_defect_values():

@@ -371,6 +371,19 @@ def test_cli_non_list_payload_is_parse_error(tmp_path, name, site, mutate):
     assert error["message"].endswith(f"at $.{site}")
 
 
+@pytest.mark.parametrize("argv", [["check-ladder"], ["make-monic"],
+                                  ["deform", "--t", "0"], ["psi"]],
+                         ids=lambda argv: argv[0])
+def test_cli_ladder_without_columns_is_parse_error_at_x(tmp_path, argv):
+    path = edited_document(tmp_path, "ladder_nilp3_corner.json",
+                           lambda doc: doc.__setitem__("x", []))
+    code, out, err = run_cli(argv[:1] + [path] + argv[1:])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"] == "a ladder needs at least one column at $.x"
+
+
 FUZZ_VALUES = ([], {}, None, 0, 1.5, "x", "1/0")
 
 

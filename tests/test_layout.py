@@ -43,6 +43,26 @@ def test_every_module_level_import_is_used():
 
 
 
+def test_every_top_level_definition_is_exported_or_read():
+    """Every module-level function and class is in ``moddeg.__all__`` or
+    read, by name or as an attribute, somewhere in the package, so no
+    helper is left behind dead.  ``fixtures`` builds the shipped data
+    files and the test inputs, so it is exempt."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    found = [f"{name}:{node.lineno} defines unused {node.name}"
+             for name, tree in trees.items() if name != "fixtures.py"
+             for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+             and node.name not in moddeg.__all__ and node.name not in read]
+    assert found == []
+
+
 def _data_reads(node, where=None):
     """The innermost enclosing function name of every ``.data`` read below
     ``node`` (None outside any function)."""

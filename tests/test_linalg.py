@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from moddeg.algebras import hom_dim
-from moddeg.errors import FieldMismatch, NotContained
+from moddeg.errors import DimensionMismatch, FieldMismatch, NotContained
 from moddeg.fields import GF, QQ, PrimeField
 from moddeg.fixtures import jordan_module
 from moddeg.linalg import (EchelonTracker, Matrix, Subspace, block_diag, hstack,
@@ -30,6 +30,13 @@ def test_rref_identity():
     m = Matrix.identity(QQ, 3)
     ech, rank, pivots = rref(m)
     assert ech == m and rank == 3 and pivots == (0, 1, 2)
+
+
+@pytest.mark.parametrize("columns", [[[1, 2], [3, 4, 5]], [[1, 2, 3], [4, 5]]],
+                         ids=["longer-later", "shorter-later"])
+def test_from_columns_refuses_ragged_columns(columns):
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_columns(QQ, columns)
 
 
 def test_rref_zero():
