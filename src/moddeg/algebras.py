@@ -13,9 +13,10 @@ full Hom(M, N) is solved on the spin basis (``hom_spin``): H is fixed by
 its values on the t roots from which the generators spin b, so the system
 has t * dim N unknowns.  ``hom_rows`` reads its kernel back as the
 canonical flattened basis, behind ``hom_basis`` and the certificate lift
-of ``degeneration``; ``hom_dim`` needs only the rank.  ``intertwiner_basis``
+of ``degeneration``; ``hom_dim`` needs only the rank.  ``intertwiner_system``
 takes the unit vectors, one unknown per entry of H, for intertwiners held
-to a support (the triangular Hom of ``series``).
+to a support (the triangular Hom of ``series``): ``intertwiner_basis``
+reads its kernel, and ``ladders.orbit_dim_ud`` needs only its rank.
 """
 
 from __future__ import annotations
@@ -342,15 +343,14 @@ def unflatten(fld, rows: int, cols: int, vector: tuple,
     return Matrix._from_entries(fld, rows, cols, out)
 
 
-def intertwiner_basis(m: Representation, n: Representation,
-                      support: Sequence[int]) -> list[Matrix]:
-    """Canonical basis of the n.dim x m.dim intertwiners H: m -> n held to
-    ``support``, read off the kernel echelon form.  The unknowns are the
-    entries H[r][c] at the increasing row-major indices ``r * m.dim + c``
-    listed in ``support``, in that order, and every other entry of H is
-    held at zero.  The equations are ``intertwiner_equations`` on the unit
-    vectors e_j of M, with column j of H as H e_j and the identity as
-    every word."""
+def intertwiner_system(m: Representation, n: Representation,
+                       support: Sequence[int]) -> Matrix:
+    """The equations of the n.dim x m.dim intertwiners H: m -> n held to
+    ``support``.  The unknowns are the entries H[r][c] at the increasing
+    row-major indices ``r * m.dim + c`` listed in ``support``, in that
+    order, and every other entry of H is held at zero.  The equations are
+    ``intertwiner_equations`` on the unit vectors e_j of M, with column j
+    of H as H e_j and the identity as every word."""
     _check_compatible(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
     unknown = [None] * (dn * dm)
@@ -358,10 +358,16 @@ def intertwiner_basis(m: Representation, n: Representation,
         unknown[flat] = k
     pending = [(b, j, col) for a, b in zip(m.mats, n.mats)
                for j, col in enumerate(a.transpose().entries)]
-    system = intertwiner_equations(fld, len(support), [Matrix.identity(fld, dn)] * dm,
-                                   [unknown[j::dm] for j in range(dm)], pending)
-    return [unflatten(fld, dn, dm, vec, support)
-            for vec in kernel(system).basis.transpose().entries]
+    return intertwiner_equations(fld, len(support), [Matrix.identity(fld, dn)] * dm,
+                                 [unknown[j::dm] for j in range(dm)], pending)
+
+
+def intertwiner_basis(m: Representation, n: Representation,
+                      support: Sequence[int]) -> list[Matrix]:
+    """Canonical basis of the intertwiners H: m -> n held to ``support``:
+    the kernel of ``intertwiner_system``, unflattened."""
+    return [unflatten(m.field, n.dim, m.dim, vec, support)
+            for vec in kernel(intertwiner_system(m, n, support)).basis.transpose().entries]
 
 
 @dataclass(frozen=True)

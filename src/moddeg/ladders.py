@@ -24,12 +24,12 @@ from .errors import (BadParameter, DimensionMismatch,
                      InternalInvariantViolation, NoAdaptedBasis,
                      VerificationFailed)
 from .algebras import (AlgebraPresentation, CheckItem, ModuleMap, Report,
-                       Representation, read_on_complement, sub_representation,
-                       validate)
+                       Representation, intertwiner_system, read_on_complement,
+                       sub_representation, validate)
 from .degeneration import RiedtmannCertificate, verify_certificate
 from .linalg import EchelonTracker, Matrix, block_diag, image, kernel, vstack
 from .series import (ModuleChain, TriangularRep, chain_embeddings,
-                     upper_triangular_hom_basis)
+                     upper_triangular_support)
 
 
 @dataclass(frozen=True)
@@ -354,7 +354,9 @@ def psi_embed(tri: TriangularRep) -> Representation:
 
 
 def orbit_dim_ud(tri: TriangularRep) -> int:
-    """Dimension of the upper-triangular conjugation orbit:
-    dim U_d minus the dimension of the triangular self-intertwiner space."""
-    d = tri.dim
-    return d * (d + 1) // 2 - len(upper_triangular_hom_basis(tri, tri))
+    """Dimension of the upper-triangular conjugation orbit: dim U_d minus
+    the dimension of the triangular self-intertwiner space.  The system of
+    that space has the d(d+1)/2 entries of U_d as its unknowns, so this is
+    its rank, read without solving it."""
+    return intertwiner_system(tri.rep, tri.rep,
+                              upper_triangular_support(tri, tri)).rank()

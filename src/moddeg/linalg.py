@@ -18,6 +18,13 @@ content divided out after every step.  Both share one step, which
 touches only the pivot row's entries and only the pivot columns a row
 holds; only the final pivot rows become ``Fraction``s again.
 
+Each primitive eliminates only as far as its answer needs.
+``Matrix.rank`` runs the forward pass alone and counts the pivot rows it
+keeps.  ``kernel`` runs one ``rref``, of the matrix with its columns
+reversed, whose rows are already the canonical basis of the null space.
+``Subspace.intersect`` maps the canonical basis of a preimage through a
+canonical basis, which keeps it canonical, and eliminates nothing more.
+
 Everything here is immutable and pure.  Subspaces are kept in a canonical
 reduced column echelon basis so that two subspaces are equal if and only
 if their basis matrices are structurally equal; submodule chains elsewhere
@@ -106,6 +113,8 @@ class Matrix:
     @classmethod
     def from_rows(cls, field, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
         if rows:
+            if cols is not None and cols != len(rows[0]):
+                raise DimensionMismatch(f"rows have {len(rows[0])} entries, not {cols}")
             cols = len(rows[0])
         elif cols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
@@ -114,6 +123,8 @@ class Matrix:
     @classmethod
     def from_columns(cls, field, columns: Sequence[Sequence], rows: Optional[int] = None) -> "Matrix":
         if columns:
+            if rows is not None and rows != len(columns[0]):
+                raise DimensionMismatch(f"columns have {len(columns[0])} entries, not {rows}")
             rows = len(columns[0])
         elif rows is None:
             raise DimensionMismatch("empty matrix needs an explicit row count")
@@ -293,7 +304,11 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field}: [{body}])"
 
     def rank(self) -> int:
-        return rref(self)[1]
+        """The number of pivot rows the forward pass of ``rref`` keeps
+        (``_insert``): no back-substitution and no ``Fraction`` is built."""
+        p = self.field.characteristic
+        pivots = {}
+        return sum([_insert(row, pivots, p) for row in self.entries if row[0]])
 
     def is_injective(self) -> bool:
         """Whether the columns are linearly independent."""
@@ -556,7 +571,11 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, mat: Matrix) -> "Subspace":
-        return _row_span(mat.transpose())
+        """The span of the columns of ``mat``: its canonical basis is the
+        transpose of the nonzero rows of ``rref(mat.transpose())``."""
+        ech, rank, _ = rref(mat.transpose())
+        rows = Matrix._from_entries(mat.field, rank, mat.rows, ech.entries[:rank])
+        return cls(mat.field, mat.rows, rows.transpose())
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
@@ -619,10 +638,15 @@ class Subspace:
         return Subspace.from_columns(hstack(self.basis, other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """self meet other: the basis B of self times the canonical basis
+        of ``preimage(B, other)``.  B is the identity at its pivot rows
+        and zero above them, so the product has a leading one at the pivot
+        row of each preimage column's leading one and is zero at the
+        others' leading rows: it is canonical as it stands."""
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return Subspace.from_columns(
-            self.basis @ preimage(self.basis, other).basis)
+        return Subspace(self.field, self.ambient_dim,
+                        self.basis @ preimage(self.basis, other).basis)
 
     def left_annihilator(self) -> Matrix:
         """Rows spanning { r : r . basis = 0 }; empty for the full space."""
@@ -658,29 +682,34 @@ class Subspace:
                                     chosen).transpose()
 
 
-def _row_span(m: Matrix) -> Subspace:
-    """The span of the rows of ``m`` in k^cols: its canonical basis is the
-    transpose of the nonzero rows of ``rref(m)``."""
-    ech, rank, _ = rref(m)
-    rows = Matrix._from_entries(m.field, rank, m.cols, ech.entries[:rank])
-    return Subspace(m.field, m.cols, rows.transpose())
-
-
 def kernel(m: Matrix) -> Subspace:
-    """The solution space of m . v = 0 inside k^cols.
+    """The solution space of m . v = 0 inside k^cols, from one ``rref``.
 
-    One solution per free column j: one at j and minus column j of the
-    echelon form at the pivot columns, which all lie left of j; these
-    rows are then reduced to the canonical basis."""
-    ech, _, pivots = rref(m)
+    The elimination runs on m with its columns reversed (j -> cols-1-j),
+    so that the solution of each free column j reads, in m's order, a
+    leading one at j and minus the echelon column at pivot columns that
+    all lie to its right.  The solutions are then zero at each other's
+    leading columns, so they are already the reduced echelon rows of the
+    null space: the canonical basis, each row of which is read straight
+    off one echelon row or is a unit row at a free column."""
+    n = m.cols
+    ech, rank, pivots = rref(Matrix._from_entries(m.field, m.rows, n, [
+        (tuple([n - 1 - j for j in reversed(cols)]), vals[::-1])
+        for cols, vals in m.entries]))
     field = m.field
     neg, one = field.neg, field.one
+    # Free column j of m is column n-1-j of the echelon form; the basis
+    # orders the solutions by increasing j.
     pivot_set = set(pivots)
-    solutions = [(tuple([pivots[r] for r in rows] + [j]),
-                  tuple([neg(v) for v in vals] + [one]))
-                 for j, (rows, vals) in enumerate(ech.transpose().entries)
-                 if j not in pivot_set]
-    return _row_span(Matrix._from_entries(field, len(solutions), m.cols, solutions))
+    place = {c: k for k, c in enumerate(
+        [c for c in range(n - 1, -1, -1) if c not in pivot_set])}
+    out = [None] * n
+    for c, k in place.items():
+        out[n - 1 - c] = ((k,), (one,))
+    for c, (cols, vals) in zip(pivots, ech.entries[:rank]):
+        out[n - 1 - c] = (tuple([place[j] for j in reversed(cols[1:])]),
+                          tuple([neg(v) for v in reversed(vals[1:])]))
+    return Subspace(field, n, Matrix._from_entries(field, n, len(place), out))
 
 
 def image(m: Matrix) -> Subspace:

@@ -21,19 +21,19 @@ from .algebras import (ModuleMap, Representation, Submodule, conjugate,
                        intertwiner_basis, quotient_by_subspace,
                        sub_representation)
 from .linalg import (Matrix, Subspace, first_combination, hstack, image, kernel,
-                     row_from_dense, rref)
+                     row_from_dense, rref, vstack)
 
 
 def socle(rep: Representation) -> Submodule:
-    """Common kernel of the radical generators' action.
+    """Common kernel of the radical generators' action: the kernel of
+    their matrices stacked, from one elimination.
 
     For the declared-radical presentations in scope this is the socle; the
     result is verified to be a submodule and the call fails otherwise.
     """
-    space = Subspace.full(rep.field, rep.dim)
-    for idx in rep.algebra.radical_indices:
-        space = space.intersect(kernel(rep.mats[idx]))
-    sub = Submodule(rep, space)
+    sub = Submodule(rep, kernel(vstack(
+        Matrix.zeros(rep.field, 0, rep.dim),
+        *[rep.mats[idx] for idx in rep.algebra.radical_indices])))
     sub.require_invariant()
     return sub
 
@@ -313,13 +313,19 @@ def simultaneous_triangularize(m: Representation, n: Representation,
     return tm, tn
 
 
-def upper_triangular_hom_basis(a: TriangularRep, b: TriangularRep) -> list[Matrix]:
-    """Canonical basis of the space of upper-triangular intertwiners."""
+def upper_triangular_support(a: TriangularRep, b: TriangularRep) -> list[int]:
+    """The row-major indices ``r * d + c`` (c >= r) of the entries of an
+    upper-triangular d x d intertwiner a -> b, the unknowns of the
+    triangular Hom system (``intertwiner_system``)."""
     d = a.dim
     if b.dim != d:
         raise DimensionMismatch("triangular intertwiners need equal dimension")
-    support = [r * d + c for r in range(d) for c in range(r, d)]
-    return intertwiner_basis(a.rep, b.rep, support)
+    return [r * d + c for r in range(d) for c in range(r, d)]
+
+
+def upper_triangular_hom_basis(a: TriangularRep, b: TriangularRep) -> list[Matrix]:
+    """Canonical basis of the space of upper-triangular intertwiners."""
+    return intertwiner_basis(a.rep, b.rep, upper_triangular_support(a, b))
 
 
 def series_isomorphic(a: TriangularRep, b: TriangularRep,

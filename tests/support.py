@@ -245,7 +245,7 @@ def submodule_point_set(sub) -> frozenset:
 
 def random_matrix(fld, rng: random.Random, rows: int, cols: int) -> Matrix:
     return Matrix.from_rows(
-        fld, [[fld.sample(rng, 3) for _ in range(cols)] for _ in range(rows)])
+        fld, [[fld.sample(rng, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
 def random_invertible(fld, rng: random.Random, n: int) -> Matrix:

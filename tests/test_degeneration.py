@@ -205,7 +205,7 @@ def conjugated_pair(c1, c2, rng):
     fld = c1.m.field
 
     def basis(rep):
-        return random_invertible(fld, rng, rep.dim) if rep.dim else Matrix.identity(fld, 0)
+        return random_invertible(fld, rng, rep.dim)
     shared = basis(c1.n)
     return (recast(c1, basis(c1.x), basis(c1.m), shared),
             recast(c2, basis(c2.x), shared, Matrix.identity(fld, c2.n.dim)))

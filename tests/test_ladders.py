@@ -5,6 +5,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moddeg import (LadderCertificate, Matrix, ModuleMap, build_family,
                     direct_sum, evaluate_family, ladder_from_columns,
@@ -19,7 +20,8 @@ from moddeg.fixtures import (kron_r2_mu, kron_r2_nu, ladder_nilp3_corner,
                              nu_shift_triangular, regular_module,
                              simple_module, trivial_ladder,
                              truncated_polynomial_algebra, y_module)
-from moddeg.series import ModuleChain, TriangularRep, chain_to_triangular
+from moddeg.series import (ModuleChain, TriangularRep, chain_to_triangular,
+                           upper_triangular_hom_basis)
 from moddeg.oracles import nilpotent_degenerates, nilpotent_rank_profile
 
 from support import dense_psi, random_strict_triangular_nilpotent
@@ -238,6 +240,19 @@ def test_orbit_dim_ud_values():
     assert orbit_dim_ud(nu) == 2      # closure is the two-parameter top row
     # a verified ladder exhibits the bottom border inside the top's closure
     assert orbit_dim_ud(nu) >= orbit_dim_ud(mu)
+
+
+@given(st.integers(0, 2 ** 30), st.sampled_from([QQ, GF(2), GF(101)]))
+@settings(max_examples=60, deadline=None)
+def test_orbit_dim_ud_is_dim_ud_less_the_triangular_self_homs(seed, fld):
+    rng = random.Random(seed)
+    tris = [TriangularRep(random_strict_triangular_nilpotent(fld, rng, rng.randint(1, 5))),
+            mu_corner_triangular(fld), nu_shift_triangular(fld),
+            nu_prime_triangular(fld), kron_r2_mu(fld), kron_r2_nu(fld)]
+    for tri in tris:
+        d = tri.dim
+        homs = upper_triangular_hom_basis(tri, tri)
+        assert orbit_dim_ud(tri) == d * (d + 1) // 2 - len(homs)
 
 
 def test_nilpotent_orbit_consistency():

@@ -39,6 +39,16 @@ def test_from_columns_refuses_ragged_columns(columns):
         Matrix.from_columns(QQ, columns)
 
 
+def test_from_columns_refuses_a_contradicting_row_count():
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_columns(QQ, [[1, 2]], rows=3)
+
+
+def test_from_rows_refuses_a_contradicting_column_count():
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows(QQ, [[1, 2]], cols=5)
+
+
 def test_rref_zero():
     m = Matrix.zeros(QQ, 2, 4)
     ech, rank, pivots = rref(m)
@@ -287,6 +297,47 @@ def sparse_matrices(draw, rows=None, cols=None, fld=None):
 @settings(max_examples=300, deadline=None)
 def test_rref_matches_dense_reference(m):
     assert rref(m) == dense_rref(m)
+
+
+@given(sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_counts_the_rref_pivots(m):
+    assert m.rank() == rref(m)[1]
+
+
+@given(sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_kernel_basis_is_canonical_and_killed(m):
+    """The kernel basis is its own reduced echelon form (transposed), m
+    kills it, and it has cols - rank columns."""
+    basis = kernel(m).basis
+    rows = basis.transpose()
+    assert rref(rows)[0] == rows
+    assert basis.rows == m.cols and basis.cols == m.cols - rref(m)[1]
+    assert (m @ basis).is_zero()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_enumerated_null_vectors(data):
+    fld = data.draw(st.sampled_from([F2, GF(3)]))
+    m = data.draw(sparse_matrices(rows=data.draw(st.integers(0, 4)),
+                                  cols=data.draw(st.integers(0, 4)), fld=fld))
+    p = fld.p
+    expected = {v for v in all_vectors(p, m.cols)
+                if all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m.data)}
+    assert _points(kernel(m), p) == expected
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_intersect_is_the_canonical_image_of_the_preimage(data):
+    fld = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(0, 7))
+    a, b = (Subspace.from_columns(data.draw(sparse_matrices(rows=n, fld=fld)))
+            for _ in range(2))
+    assert a.intersect(b) == Subspace.from_columns(
+        a.basis @ preimage(a.basis, b).basis)
 
 
 @given(st.data())

@@ -5,6 +5,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moddeg import (Matrix, Submodule, Subspace, composition_series,
                     composition_vector, direct_sum, is_isomorphic,
@@ -19,8 +20,9 @@ from moddeg.fixtures import (bidir_m, bidir_n, kron_i2, kron_r2_mu,
                              nu_prime_triangular, nu_shift_triangular,
                              regular_module, simple_module,
                              truncated_polynomial_algebra, y_module)
+from moddeg.linalg import kernel
 from moddeg.series import TriangularRep, triangularize_flags
-from support import random_nilpotent_rep
+from support import random_kronecker, random_nilpotent_rep
 
 F2 = GF(2)
 KX3 = truncated_polynomial_algebra(3)
@@ -32,6 +34,21 @@ def test_socle_cases():
     lam = regular_module(QQ, 2)
     assert socle(lam).dim == 1
     assert socle(kron_i2(QQ)).space.basis.column(0) == (0, 0, 1)
+
+
+@given(st.integers(0, 2 ** 30), st.sampled_from([QQ, F2, GF(101)]))
+@settings(max_examples=60, deadline=None)
+def test_socle_is_the_chained_intersection_of_generator_kernels(seed, fld):
+    rng = random.Random(seed)
+    reps = [random_kronecker(fld, rng, rng.randint(0, 3), rng.randint(1, 3),
+                             rng.choice([0.3, 1.0])),
+            random_nilpotent_rep(KX3, fld, rng, rng.randint(1, 5), 3),
+            simple_module(fld)]
+    for rep in reps:
+        space = Subspace.full(fld, rep.dim)
+        for idx in rep.algebra.radical_indices:
+            space = space.intersect(kernel(rep.mats[idx]))
+        assert socle(rep).space == space
 
 
 def test_composition_series_simple():
