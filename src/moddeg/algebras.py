@@ -32,7 +32,7 @@ from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      InternalInvariantViolation, NotSubmodule, Undecided)
 from .linalg import (EchelonTracker, Matrix, Subspace, block_diag,
                      first_combination, hstack, image, inverse, kernel,
-                     row_from_dict, rref, solve_right, vstack)
+                     row_from_dict, rref, solve_right)
 
 # A relation is a sum of terms; each term is (integer coefficient, word),
 # a word being a nonempty tuple of generator indices.  Integer coefficients
@@ -227,8 +227,10 @@ class ModuleMap:
 
     def factor(self, mat: Matrix) -> Matrix:
         """The X with ``self.mat @ X = mat``, for a monic map: ``mat``
-        factored through this inclusion.  Raises InternalInvariantViolation
-        when ``mat`` does not factor."""
+        factored through this inclusion.  An inclusion between canonical
+        bases is itself canonical, and ``solve_right`` then reads ``mat``
+        at its pivot rows with no elimination.  Raises
+        InternalInvariantViolation when ``mat`` does not factor."""
         x = solve_right(self.mat, mat)
         if x is None:
             raise InternalInvariantViolation(
@@ -284,11 +286,13 @@ def direct_sum(a: Representation, b: Representation):
     _check_compatible(a, b)
     mats = tuple(block_diag(ma, mb) for ma, mb in zip(a.mats, b.mats))
     rep = Representation(a.algebra, a.field, a.dim + b.dim, mats)
-    fld = a.field
-    ia = vstack(Matrix.identity(fld, a.dim), Matrix.zeros(fld, b.dim, a.dim))
-    ib = vstack(Matrix.zeros(fld, a.dim, b.dim), Matrix.identity(fld, b.dim))
-    pa = hstack(Matrix.identity(fld, a.dim), Matrix.zeros(fld, a.dim, b.dim))
-    pb = hstack(Matrix.zeros(fld, b.dim, a.dim), Matrix.identity(fld, b.dim))
+    fld, m, n, d = a.field, a.dim, b.dim, rep.dim
+    units = [((i,), (fld.one,)) for i in range(d)]
+    zeros = [((), ())]
+    ia = Matrix._from_entries(fld, d, m, units[:m] + zeros * n)
+    ib = Matrix._from_entries(fld, d, n, zeros * m + units[:n])
+    pa = Matrix._from_entries(fld, m, d, units[:m])
+    pb = Matrix._from_entries(fld, n, d, units[m:])
     return (rep, ModuleMap(a, rep, ia), ModuleMap(b, rep, ib),
             ModuleMap(rep, a, pa), ModuleMap(rep, b, pb))
 

@@ -55,8 +55,8 @@ def bidirectional_quiver_algebra() -> AlgebraPresentation:
 
 
 def make_rep(alg: AlgebraPresentation, fld, mats) -> Representation:
-    ms = tuple(Matrix.from_rows(fld, m) for m in mats)
-    return Representation(alg, fld, ms[0].rows if ms[0].rows else 0, ms)
+    ms = tuple(Matrix.from_rows(fld, m, cols=len(m)) for m in mats)
+    return Representation(alg, fld, ms[0].rows, ms)
 
 
 # -- modules over k[X]/(X^n) ------------------------------------------

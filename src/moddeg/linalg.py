@@ -24,6 +24,11 @@ keeps.  ``kernel`` runs one ``rref``, of the matrix with its columns
 reversed, whose rows are already the canonical basis of the null space.
 ``Subspace.intersect`` maps the canonical basis of a preimage through a
 canonical basis, which keeps it canonical, and eliminates nothing more.
+An input already in reduced column echelon form with no zero column is
+read, not eliminated: ``canonical_pivot_rows`` finds its pivot rows in
+one pass over its entries, ``Subspace.from_columns`` keeps it as the
+basis, and ``solve_right`` (as ``Subspace.coordinates`` does) reads the
+right-hand side at those rows and checks the product.
 
 Everything here is immutable and pure.  Subspaces are kept in a canonical
 reduced column echelon basis so that two subspaces are equal if and only
@@ -471,14 +476,47 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return Matrix._from_entries(field, m.rows, m.cols, out), r, tuple(order)
 
 
+def canonical_pivot_rows(m: Matrix) -> Optional[list[int]]:
+    """The pivot rows of ``m`` when it is in reduced column echelon form
+    with no zero column, and None otherwise, from one pass over the
+    stored entries.
+
+    The pivot row of column k is the first row with an entry in a column
+    k or later: it must hold a single one, at column k.  The rows between
+    pivot rows may hold anything in the columns whose pivots lie above."""
+    out = []
+    for i, (cols, vals) in enumerate(m.entries):
+        if cols and cols[-1] >= len(out):
+            if len(cols) > 1 or cols[0] != len(out) or vals[0] != 1:
+                return None
+            out.append(i)
+    return out if len(out) == m.cols else None
+
+
+def _read_at_pivots(a: Matrix, pivots: list[int], b: Matrix) -> Optional[Matrix]:
+    """The X with ``a @ X = b`` for an ``a`` that is the identity at the
+    rows ``pivots`` and has independent columns: ``b`` read at those
+    rows, or None when ``a`` times it misses ``b``."""
+    x = b.submatrix(pivots, range(b.cols))
+    return x if a @ x == b else None
+
+
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """A particular solution X of ``a @ X = b``, or None if inconsistent.
 
-    Deterministic: free variables are set to zero.
+    When ``a`` is in reduced column echelon form with no zero column
+    (``canonical_pivot_rows``), as canonical bases and inclusions between
+    them are, the solution is unique and is ``b`` read at ``a``'s pivot
+    rows, checked by one product.  Any other ``a`` goes through the
+    ``rref`` of ``[a | b]``, with free variables set to zero.  Both give
+    the same matrix where both apply.
     """
     a._check_same_field(b)
     if a.rows != b.rows:
         raise DimensionMismatch("solve_right row mismatch")
+    rows = canonical_pivot_rows(a)
+    if rows is not None:
+        return _read_at_pivots(a, rows, b)
     aug = hstack(a, b)
     ech, _, pivots = rref(aug)
     if any(p >= a.cols for p in pivots):
@@ -571,8 +609,11 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, mat: Matrix) -> "Subspace":
-        """The span of the columns of ``mat``: its canonical basis is the
+        """The span of the columns of ``mat``: ``mat`` itself when it is
+        already canonical (``canonical_pivot_rows``), and otherwise the
         transpose of the nonzero rows of ``rref(mat.transpose())``."""
+        if canonical_pivot_rows(mat) is not None:
+            return cls(mat.field, mat.rows, mat)
         ech, rank, _ = rref(mat.transpose())
         rows = Matrix._from_entries(mat.field, rank, mat.rows, ech.entries[:rank])
         return cls(mat.field, mat.rows, rows.transpose())
@@ -608,19 +649,12 @@ class Subspace:
     def pivot_rows(self) -> list[int]:
         """The rows of the basis columns' leading ones; the basis is the
         identity on them."""
-        # Column k's pivot row is the first row whose last entry is in
-        # column k: later columns are zero there, column k is not.
-        out = []
-        for i, (cols, _) in enumerate(self.basis.entries):
-            if cols and cols[-1] == len(out):
-                out.append(i)
-        return out
+        return canonical_pivot_rows(self.basis)
 
     def coordinates(self, mat: Matrix) -> Optional[Matrix]:
         """The X with ``basis @ X = mat``: ``mat`` read at the pivot rows,
         or None when a column of ``mat`` leaves the span."""
-        x = mat.submatrix(self.pivot_rows(), range(mat.cols))
-        return x if self.basis @ x == mat else None
+        return _read_at_pivots(self.basis, self.pivot_rows(), mat)
 
     def contains_vector(self, vec: Matrix) -> bool:
         if vec.rows != self.ambient_dim:

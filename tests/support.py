@@ -71,6 +71,53 @@ def dense_rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return Matrix(fld, m.rows, m.cols, a), len(pivots), tuple(pivots)
 
 
+def dense_solve_right(a: Matrix, b: Matrix):
+    """The solution X of a . X = b with every free variable at zero, or
+    None when there is none: read off ``dense_rref`` of the dense
+    augmented matrix [a | b].  The reference for ``solve_right`` and
+    ``Subspace.coordinates``."""
+    fld, n = a.field, a.cols
+    aug = Matrix(fld, a.rows, n + b.cols,
+                 [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)])
+    ech, _, pivots = dense_rref(aug)
+    if any(c >= n for c in pivots):
+        return None
+    x = [[fld.zero] * b.cols for _ in range(n)]
+    for r, c in enumerate(pivots):
+        x[c] = list(ech.data[r][n:])
+    return Matrix(fld, n, b.cols, x)
+
+
+def dense_span_basis(m: Matrix) -> Matrix:
+    """The canonical basis of the column span of ``m``: the nonzero rows
+    of ``dense_rref`` of its dense transpose, written as columns.  The
+    reference for ``Subspace.from_columns``."""
+    cells = m.data
+    ech, rank, _ = dense_rref(Matrix(m.field, m.cols, m.rows,
+                                     [[cells[i][j] for i in range(m.rows)]
+                                      for j in range(m.cols)]))
+    rows = ech.data
+    return Matrix(m.field, m.rows, rank,
+                  [[rows[k][i] for k in range(rank)] for i in range(m.rows)])
+
+
+def random_canonical_basis(fld, rng: random.Random, n: int, k: int,
+                           density: float = 0.5) -> Matrix:
+    """A random n x k matrix in reduced column echelon form with no zero
+    column (k <= n), written cell by cell: column j holds a one at the
+    j-th of k increasing random pivot rows, zeros above it and at the
+    other pivot rows, and below it, with probability ``density``, a random
+    element at each other row."""
+    pivots = sorted(rng.sample(range(n), k))
+    rows = [[fld.zero] * k for _ in range(n)]
+    for j, r in enumerate(pivots):
+        rows[r][j] = fld.one
+        for i in range(r + 1, n):
+            if i not in pivots and rng.random() < density:
+                rows[i][j] = fld.sample(rng, 3)
+    return Matrix(fld, n, k, rows)
+
+
 def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
     """The product a . b as the dense triple loop over every cell: the
     reference the zero-skipping product must match exactly."""

@@ -55,6 +55,14 @@ def test_direct_sum_block_structure():
     assert i1.is_intertwiner() and p2.is_intertwiner()
 
 
+@pytest.mark.parametrize("fld", [QQ, F2, GF(101)], ids=repr)
+def test_zero_dimensional_jordan_module_has_no_homs(fld):
+    zero = jordan_module(fld, 3, ())
+    assert zero.dim == 0 and validate(zero).ok
+    for other in (zero, y_module(fld), jordan_module(fld, 3, (3, 1))):
+        assert hom_dim(zero, other) == hom_dim(other, zero) == 0
+
+
 def test_direct_sum_needs_same_algebra():
     with pytest.raises(AlgebraMismatch):
         direct_sum(simple_module(QQ, 2), simple_module(QQ, 3))

@@ -5,21 +5,22 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from moddeg.algebras import hom_dim
 from moddeg.errors import DimensionMismatch, FieldMismatch, NotContained
 from moddeg.fields import GF, QQ, PrimeField
 from moddeg.fixtures import jordan_module
-from moddeg.linalg import (EchelonTracker, Matrix, Subspace, block_diag, hstack,
-                           inverse, kernel, preimage, row_from_dense, rref,
-                           solve_right, vstack)
+from moddeg.linalg import (EchelonTracker, Matrix, Subspace, block_diag,
+                           canonical_pivot_rows, hstack, inverse, kernel,
+                           preimage, row_from_dense, rref, solve_right, vstack)
 
 from support import (all_vectors, dense_add, dense_block_diag, dense_hstack,
                      dense_is_upper_triangular, dense_is_zero, dense_matmul,
-                     dense_rows, dense_rref, dense_scale, dense_sub,
-                     dense_submatrix, dense_transpose, dense_vstack,
-                     independent_rank, random_matrix, random_subspace)
+                     dense_rows, dense_rref, dense_scale, dense_solve_right,
+                     dense_span_basis, dense_sub, dense_submatrix,
+                     dense_transpose, dense_vstack, independent_rank,
+                     random_canonical_basis, random_matrix, random_subspace)
 
 F2 = GF(2)
 F101 = GF(101)
@@ -199,7 +200,7 @@ def test_coordinates_against_independent_rank_and_solve_right(fld):
                       == independent_rank(s.basis.data, p))
             x = s.coordinates(v)
             assert (x is not None) == inside
-            assert x == solve_right(s.basis, v)
+            assert x == dense_solve_right(s.basis, v) == solve_right(s.basis, v)
             assert s.contains(Subspace.from_columns(v)) == inside
             for j in range(v.cols):
                 col = v.column_matrix(j)
@@ -664,3 +665,108 @@ def test_row_sparse_storage_matches_dense_references(data):
     assert [m.column(j) for j in range(nc)] == m.columns()
     assert m.is_zero() == dense_is_zero(fld, rows)
     assert m.is_upper_triangular() == dense_is_upper_triangular(fld, rows)
+
+
+def _leading_rows(m: Matrix) -> list:
+    """The first row holding a nonzero entry of each column, from the
+    dense cells."""
+    cells = m.data
+    return [next(i for i in range(m.rows) if cells[i][j]) for j in range(m.cols)]
+
+
+def _with_cells(m: Matrix, cells: dict) -> Matrix:
+    """``m`` with the dense cells ``(i, j)`` set to the given values."""
+    rows = [list(row) for row in m.data]
+    for (i, j), v in cells.items():
+        rows[i][j] = v
+    return Matrix(m.field, m.rows, m.cols, rows)
+
+
+def _solved_and_spanned_like_the_reference(a: Matrix, rhs) -> None:
+    for b in rhs:
+        assert solve_right(a, b) == dense_solve_right(a, b)
+    assert Subspace.from_columns(a).basis == dense_span_basis(a)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_canonical_inputs_are_read_at_their_pivot_rows(data):
+    """On a matrix in reduced column echelon form with no zero column, a
+    random subspace basis or the inclusion of one canonical subspace in
+    another, ``solve_right`` and ``Subspace.from_columns`` agree with the
+    dense references: the basis is the matrix itself, a right-hand side in
+    its span is solved and one pushed off it at a non-pivot row is not."""
+    fld = data.draw(st.sampled_from(FIELDS))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    n = data.draw(st.integers(0, 7))
+    density = data.draw(st.sampled_from([0.1, 0.5, 1]))
+    if data.draw(st.booleans(), label="inclusion"):
+        big = random_canonical_basis(fld, rng, n, rng.randint(0, n), density)
+        small = dense_span_basis(dense_matmul(
+            big, random_matrix(fld, rng, big.cols, rng.randint(0, big.cols))))
+        cells = small.data
+        a = Matrix(fld, big.cols, small.cols, [cells[i] for i in _leading_rows(big)])
+    else:
+        a = random_canonical_basis(fld, rng, n, rng.randint(0, n), density)
+    pivots = _leading_rows(a)
+    assert canonical_pivot_rows(a) == pivots
+    assert Subspace.from_columns(a).basis == a
+    inside = dense_matmul(a, random_matrix(fld, rng, a.cols, rng.randint(1, 3)))
+    rhs = [inside]
+    off = [i for i in range(a.rows) if i not in pivots]
+    if off:
+        i = rng.choice(off)
+        rhs.append(_with_cells(inside, {(i, 0): fld.add(inside.data[i][0], fld.one)}))
+        assert dense_solve_right(a, rhs[-1]) is None
+    assert dense_solve_right(a, inside) is not None
+    _solved_and_spanned_like_the_reference(a, rhs)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+@pytest.mark.parametrize("rows,cols", [(0, 0), (3, 0), (0, 2)])
+def test_empty_shapes_solve_like_the_reference(fld, rows, cols):
+    """0 x 0 and n x 0 are canonical; 0 x n has zero columns and is
+    eliminated.  Zero and nonzero right-hand sides of one and two columns."""
+    a = Matrix.zeros(fld, rows, cols)
+    assert (canonical_pivot_rows(a) is not None) == (cols == 0)
+    rhs = [Matrix.zeros(fld, rows, 1), Matrix.zeros(fld, rows, 2)]
+    if rows:
+        rhs.append(Matrix.unit_vector(fld, rows, 1))
+    assert solve_right(a, rhs[0]) == Matrix.zeros(fld, cols, 1)
+    _solved_and_spanned_like_the_reference(a, rhs)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_near_canonical_inputs_are_eliminated_and_agree(data):
+    """A canonical basis spoilt in one place (a leading 2, an extra entry
+    in a pivot row, a zero column, or two columns whose pivots are out of
+    order) is not read as canonical, and ``solve_right`` and
+    ``Subspace.from_columns`` still agree with the dense references."""
+    fld = data.draw(st.sampled_from(FIELDS))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    n = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, n))
+    flaw = data.draw(st.sampled_from(["leading 2", "pivot row", "zero column", "order"]))
+    assume(not (flaw == "leading 2" and fld == F2))
+    assume(k >= 2 or flaw in ("leading 2", "zero column"))
+    base = random_canonical_basis(fld, rng, n, k, data.draw(st.sampled_from([0.1, 0.5, 1])))
+    pivots = _leading_rows(base)
+    j, other = rng.sample(range(k), 2) if k >= 2 else (0, None)
+    if flaw == "leading 2":
+        a = _with_cells(base, {(pivots[j], j): fld.coerce(2)})
+    elif flaw == "pivot row":
+        a = _with_cells(base, {(pivots[j], other): fld.coerce(rng.randint(1, fld.p - 1)
+                                                             if fld.finite else 3)})
+    elif flaw == "zero column":
+        at = rng.randint(0, k)
+        a = hstack(base.submatrix(range(n), range(at)), Matrix.zeros(fld, n, 1),
+                   base.submatrix(range(n), range(at, k)))
+    else:
+        order = list(range(k))
+        order[j], order[other] = other, j
+        a = base.submatrix(range(n), order)
+    assert canonical_pivot_rows(a) is None
+    _solved_and_spanned_like_the_reference(
+        a, [dense_matmul(a, random_matrix(fld, rng, a.cols, rng.randint(0, 3))),
+            random_matrix(fld, rng, n, rng.randint(0, 3))])

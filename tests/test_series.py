@@ -42,7 +42,7 @@ def test_socle_is_the_chained_intersection_of_generator_kernels(seed, fld):
     rng = random.Random(seed)
     reps = [random_kronecker(fld, rng, rng.randint(0, 3), rng.randint(1, 3),
                              rng.choice([0.3, 1.0])),
-            random_nilpotent_rep(KX3, fld, rng, rng.randint(1, 5), 3),
+            random_nilpotent_rep(KX3, fld, rng, rng.randint(0, 5), 3),
             simple_module(fld)]
     for rep in reps:
         space = Subspace.full(fld, rep.dim)
