@@ -11,12 +11,13 @@ One builder, ``intertwiner_equations``, writes the equations
 n_g (H b_j) = H (m_g b_j) of an intertwiner H on a basis b of M.  Every
 full Hom(M, N) is solved on the spin basis (``hom_spin``): H is fixed by
 its values on the t roots from which the generators spin b, so the system
-has t * dim N unknowns.  ``hom_rows`` reads its kernel back as the
-canonical flattened basis, behind ``hom_basis`` and the certificate lift
-of ``degeneration``; ``hom_dim`` needs only the rank.  ``intertwiner_system``
+has t * dim N unknowns.  ``hom_basis`` reads its kernel back as the
+canonical basis, and ``hom_dim`` needs only the rank.  ``intertwiner_system``
 takes the unit vectors, one unknown per entry of H, for intertwiners held
-to a support (the triangular Hom of ``series``): ``intertwiner_basis``
-reads its kernel, and ``ladders.orbit_dim_ud`` needs only its rank.
+to a support: ``intertwiner_basis`` reads its kernel (the triangular Hom
+of ``series``), ``ladders.orbit_dim_ud`` needs only its rank, and with
+full support its rows hold the certificate lift of ``degeneration`` to
+Hom.
 """
 
 from __future__ import annotations
@@ -110,9 +111,6 @@ class Representation:
 
     def mat(self, gen_name: str) -> Matrix:
         return self.mats[self.algebra.index(gen_name)]
-
-    def is_triangular(self) -> bool:
-        return all(m.is_upper_triangular() for m in self.mats)
 
     def block(self, lo: int, hi: int) -> "Representation":
         """The representation carried by every generator's diagonal block
@@ -277,24 +275,12 @@ def _check_compatible(a: Representation, b: Representation):
         raise FieldMismatch("representations over different fields")
 
 
-def direct_sum(a: Representation, b: Representation):
-    """Block-diagonal sum, with canonical injections and projections.
-
-    Returns ``(rep, inj_a, inj_b, proj_a, proj_b)``; the ``a`` block comes
-    first.
-    """
+def direct_sum(a: Representation, b: Representation) -> Representation:
+    """The block-diagonal sum of two representations; the ``a`` block
+    comes first."""
     _check_compatible(a, b)
     mats = tuple(block_diag(ma, mb) for ma, mb in zip(a.mats, b.mats))
-    rep = Representation(a.algebra, a.field, a.dim + b.dim, mats)
-    fld, m, n, d = a.field, a.dim, b.dim, rep.dim
-    units = [((i,), (fld.one,)) for i in range(d)]
-    zeros = [((), ())]
-    ia = Matrix._from_entries(fld, d, m, units[:m] + zeros * n)
-    ib = Matrix._from_entries(fld, d, n, zeros * m + units[:n])
-    pa = Matrix._from_entries(fld, m, d, units[:m])
-    pb = Matrix._from_entries(fld, n, d, units[m:])
-    return (rep, ModuleMap(a, rep, ia), ModuleMap(b, rep, ib),
-            ModuleMap(rep, a, pa), ModuleMap(rep, b, pb))
+    return Representation(a.algebra, a.field, a.dim + b.dim, mats)
 
 
 def intertwiner_equations(fld, nvars: int, words: Sequence[Matrix],
@@ -354,7 +340,9 @@ def intertwiner_system(m: Representation, n: Representation,
     row-major indices ``r * m.dim + c`` listed in ``support``, in that
     order, and every other entry of H is held at zero.  The equations are
     ``intertwiner_equations`` on the unit vectors e_j of M, with column j
-    of H as H e_j and the identity as every word."""
+    of H as H e_j and the identity as every word.  They are written with
+    no elimination; with full support, ``range(n.dim * m.dim)``, their
+    null space is exactly the flattened Hom(m, n)."""
     _check_compatible(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
     unknown = [None] * (dn * dm)
@@ -440,10 +428,10 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
                        (lead, j, c) for (lead, j, _), c in zip(pending, coords)]))
 
 
-def hom_rows(m: Representation, n: Representation) -> Matrix:
-    """The canonical basis of Hom(m, n) as the rows of a kb x n.dim*m.dim
-    matrix: the reduced row echelon form of the row-major flattened maps,
-    which is unique, so the output is deterministic.
+def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
+    """The canonical basis of the intertwiner space Hom(m, n): the rows of
+    the reduced row echelon form of the row-major flattened maps, which is
+    unique, so the output is deterministic.
 
     For the kernel basis K of the spin system (``hom_spin``), the block
     W_j K[places[j]] holds H b_j for every kernel vector at once.  Stacked
@@ -455,20 +443,14 @@ def hom_rows(m: Representation, n: Representation) -> Matrix:
     ker = kernel(spin.equations).basis
     kb = ker.cols
     if not kb:
-        return Matrix.zeros(fld, 0, dn * dm)
+        return []
     images = [w @ ker.submatrix(place, range(kb))
               for w, place in zip(spin.words, spin.places)]
     spun = Matrix._from_entries(fld, dn * dm, kb, [
         images[j].entries[r] for r in range(dn) for j in range(dm)])
     maps = block_diag(*[spin.inverse.transpose()] * dn) @ spun
-    return rref(maps.transpose())[0]
-
-
-def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
-    """The canonical basis of the intertwiner space Hom(m, n): the rows of
-    ``hom_rows`` read back as n.dim x m.dim maps."""
-    return [ModuleMap(m, n, unflatten(m.field, n.dim, m.dim, row))
-            for row in hom_rows(m, n).entries]
+    return [ModuleMap(m, n, unflatten(fld, dn, dm, row))
+            for row in rref(maps.transpose())[0].entries]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:

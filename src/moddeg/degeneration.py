@@ -19,7 +19,7 @@ from .errors import (AlgebraMismatch, DimensionMismatch,
                      InternalInvariantViolation, NoLift, NotSubmodule,
                      VerificationFailed)
 from .algebras import (CheckItem, ModuleMap, Report, Representation,
-                       Submodule, direct_sum, hom_dim, hom_rows,
+                       Submodule, direct_sum, hom_dim, intertwiner_system,
                        sub_representation, unflatten, zero_representation)
 from .linalg import (Matrix, Subspace, block_diag, hstack, image, kernel,
                      preimage, solve_right, vstack)
@@ -40,7 +40,7 @@ class RiedtmannCertificate:
     @classmethod
     def build(cls, x: Representation, m: Representation, n: Representation,
               f_mat: Matrix, g_mat: Matrix, q_mat: Matrix) -> "RiedtmannCertificate":
-        middle = direct_sum(x, m)[0]
+        middle = direct_sum(x, m)
         return cls(x=x, m=m, n=n,
                    f=ModuleMap(x, x, f_mat),
                    g=ModuleMap(x, m, g_mat),
@@ -118,10 +118,6 @@ class HomDefectReport:
     def values(self) -> list[int]:
         return [v for _, v in self.pairs]
 
-    @property
-    def any_negative(self) -> bool:
-        return any(v < 0 for v in self.values)
-
 
 def hom_defect(m: Representation, n: Representation,
                tests: list[Representation]) -> HomDefectReport:
@@ -194,7 +190,7 @@ def split_submodule(x: Representation, y: Representation,
     the certificate 0 -> K -> K (+) M -> X' (+) Y' -> 0 built from the
     kernel inclusion and the image projection.
     """
-    ambient, *_ = direct_sum(x, y)
+    ambient = direct_sum(x, y)
     if sub.ambient != ambient:
         raise NotSubmodule("submodule does not live in the stated direct sum")
     fld = ambient.field
@@ -217,7 +213,7 @@ def split_submodule(x: Representation, y: Representation,
     pi_res = xp_inc.factor(pi_mat)      # M -> X' coordinates
     kappa = yp_inc.factor(y_part)       # K -> Y' coordinates
 
-    n_rep = direct_sum(xp_rep, yp_rep)[0]
+    n_rep = direct_sum(xp_rep, yp_rep)
     q_mat = vstack(
         hstack(Matrix.zeros(fld, xp_rep.dim, k_rep.dim), pi_res),
         hstack(kappa, Matrix.zeros(fld, yp_rep.dim, m_rep.dim)))
@@ -234,10 +230,11 @@ def compose_certificates(c1: RiedtmannCertificate,
     B <=deg C.
 
     Solves for a module map (s; t): W -> X (+) A with q1 o (s; t) = g2: the
-    maps held to Hom(W, X (+) A) by the spin solver's canonical basis
-    (``hom_rows``), under an affine right-hand side.  The operation is
-    partial by design: when no lift exists it raises NoLift, although the
-    composed degeneration still holds mathematically.
+    maps held to Hom(W, X (+) A) by the intertwiner equations on every
+    entry (``intertwiner_system`` with full support), under an affine
+    right-hand side.  The operation is partial by design: when no lift
+    exists it raises NoLift, although the composed degeneration still
+    holds mathematically.
     """
     if c1.n != c2.m:
         raise AlgebraMismatch(
@@ -246,10 +243,10 @@ def compose_certificates(c1: RiedtmannCertificate,
     w, xm = c2.x, c1.middle
     dw, dxm = w.dim, xm.dim
     q1 = c1.q.mat
-    # The lift H is row-major flattened.  Rows whose kernel is exactly
-    # Hom(W, X (+) A) hold H in it; below them, the rows q1 . (H e_j) = g2 e_j
-    # for each column j read q1's stored rows at the entries H[s][j].
-    homs = kernel(hom_rows(w, xm)).basis.transpose()
+    # The lift H is row-major flattened.  The intertwiner equations hold H
+    # in Hom(W, X (+) A); below them, the rows q1 . (H e_j) = g2 e_j for
+    # each column j read q1's stored rows at the entries H[s][j].
+    homs = intertwiner_system(w, xm, range(dxm * dw))
     lifts = [(tuple([s * dw + j for s in cols]), vals)
              for j in range(dw) for cols, vals in q1.entries]
     g2 = c2.g.mat
@@ -265,7 +262,7 @@ def compose_certificates(c1: RiedtmannCertificate,
     sigma = lift.submatrix(range(dx), range(dw))
     tau = lift.submatrix(range(dx, dxm), range(dw))
 
-    v_rep = direct_sum(c1.x, c2.x)[0]
+    v_rep = direct_sum(c1.x, c2.x)
     f_v = vstack(hstack(c1.f.mat, sigma),
                  hstack(Matrix.zeros(fld, dw, dx), c2.f.mat))
     g_v = hstack(c1.g.mat, tau)
@@ -295,7 +292,7 @@ def _split_blocks(rep: Representation, k: int):
     if not 0 <= k <= rep.dim:
         return None
     top, bottom = rep.block(0, k), rep.block(k, rep.dim)
-    return (top, bottom) if direct_sum(top, bottom)[0] == rep else None
+    return (top, bottom) if direct_sum(top, bottom) == rep else None
 
 
 def virtual_chain(cert: RiedtmannCertificate, mprime: Submodule,

@@ -199,9 +199,9 @@ def bidir_n(fld) -> Representation:
 def dual_numbers_modules(fld):
     lam = regular_module(fld, 2)
     s = simple_module(fld, 2)
-    lam2 = direct_sum(lam, lam)[0]
-    s2 = direct_sum(s, s)[0]
-    lam_s2 = direct_sum(lam, s2)[0]
+    lam2 = direct_sum(lam, lam)
+    s2 = direct_sum(s, s)
+    lam_s2 = direct_sum(lam, s2)
     return lam, s, lam2, s2, lam_s2
 
 
@@ -245,7 +245,7 @@ def cert_dual_chain(fld) -> RiedtmannCertificate:
     """The eta degeneration with its target reordered as S^2 (+) Lambda,
     so both slots carry a literally identified Lambda factor."""
     lam, s, lam2, s2, _ = dual_numbers_modules(fld)
-    s2_lam = direct_sum(s2, lam)[0]
+    s2_lam = direct_sum(s2, lam)
     M = lambda rows: Matrix.from_rows(fld, rows)
     return RiedtmannCertificate.build(
         s, lam2, s2_lam,
@@ -261,7 +261,7 @@ def cert_dual_s2_to_s4(fld) -> RiedtmannCertificate:
     """Lambda (+) S^2 degenerates to S^4 over k[X]/(X^2), with a
     semisimple kernel chosen so the composite lift exists."""
     lam, s, lam2, s2, lam_s2 = dual_numbers_modules(fld)
-    s4 = direct_sum(s2, s2)[0]
+    s4 = direct_sum(s2, s2)
     M = lambda rows: Matrix.from_rows(fld, rows)
     return RiedtmannCertificate.build(
         s2, lam_s2, s4,
@@ -279,7 +279,7 @@ def cert_kron_i2(fld) -> RiedtmannCertificate:
     M = lambda rows: Matrix.from_rows(fld, rows)
     r = kron_regular(fld, 1, 0)
     i2 = kron_i2(fld)
-    n = direct_sum(r, kron_s1(fld))[0]
+    n = direct_sum(r, kron_s1(fld))
     return RiedtmannCertificate.build(
         r, i2, n,
         Matrix.zeros(fld, 2, 2),
@@ -300,7 +300,7 @@ def cert_nilp3_32(fld) -> RiedtmannCertificate:
     """Type (3) degenerates to type (2,1): regular module to Y (+) S."""
     lam = regular_module(fld, 3)
     s = simple_module(fld, 3)
-    n = direct_sum(y_module(fld), s)[0]
+    n = direct_sum(y_module(fld), s)
     M = lambda rows: Matrix.from_rows(fld, rows)
     return RiedtmannCertificate.build(
         s, lam, n,
@@ -314,8 +314,8 @@ def cert_nilp3_32(fld) -> RiedtmannCertificate:
 def cert_nilp3_21(fld) -> RiedtmannCertificate:
     """Type (2,1) degenerates to type (1,1,1): Y (+) S to S^3."""
     s = simple_module(fld, 3)
-    m = direct_sum(y_module(fld), s)[0]
-    s3 = direct_sum(direct_sum(s, s)[0], s)[0]
+    m = direct_sum(y_module(fld), s)
+    s3 = direct_sum(direct_sum(s, s), s)
     M = lambda rows: Matrix.from_rows(fld, rows)
     return RiedtmannCertificate.build(
         s, m, s3,
@@ -331,8 +331,8 @@ def cert_nilp3_31(fld) -> RiedtmannCertificate:
     Y (+) S."""
     lam = regular_module(fld, 3)
     s = simple_module(fld, 3)
-    x = direct_sum(y_module(fld), s)[0]
-    s3 = direct_sum(direct_sum(s, s)[0], s)[0]
+    x = direct_sum(y_module(fld), s)
+    s3 = direct_sum(direct_sum(s, s), s)
     M = lambda rows: Matrix.from_rows(fld, rows)
     return RiedtmannCertificate.build(
         x, lam, s3,
@@ -350,8 +350,8 @@ def ladder_nilp3_corner(fld) -> LadderCertificate:
     form over k[X]/(X^3)."""
     s = simple_module(fld, 3)
     y = y_module(fld)
-    sy = direct_sum(s, y)[0]
-    ss = direct_sum(s, s)[0]
+    sy = direct_sum(s, y)
+    ss = direct_sum(s, s)
     M = lambda rows: Matrix.from_rows(fld, rows)
     Z = lambda r, c: Matrix.zeros(fld, r, c)
     m_chain = ModuleChain((s, y, sy), (
@@ -376,8 +376,8 @@ def ladder_nilp3_shift(fld) -> LadderCertificate:
     form over k[X]/(X^3); its first column is trivial."""
     s = simple_module(fld, 3)
     y = y_module(fld)
-    sy = direct_sum(s, y)[0]
-    ss = direct_sum(s, s)[0]
+    sy = direct_sum(s, y)
+    ss = direct_sum(s, s)
     z = zero_representation(s.algebra, fld)
     M = lambda rows: Matrix.from_rows(fld, rows)
     Z = lambda r, c: Matrix.zeros(fld, r, c)
@@ -419,8 +419,8 @@ def trivial_ladder(tri: TriangularRep) -> LadderCertificate:
 def fixture_documents() -> dict[str, Document]:
     """Every shipped fixture, keyed by file name."""
     lam, s, lam2, s2, lam_s2 = dual_numbers_modules(QQ)
-    s3 = direct_sum(direct_sum(s, s)[0], s)[0]
-    lam_s = direct_sum(lam, s)[0]
+    s3 = direct_sum(direct_sum(s, s), s)
+    lam_s = direct_sum(lam, s)
     t3, t21, t111 = nilp3_type_modules(QQ)
     docs = {
         "rep_dual_lambda2.json": document_for(lam2),
@@ -434,10 +434,10 @@ def fixture_documents() -> dict[str, Document]:
         "sub_dual_lambda_s.json": document_for(sub_dual_lambda_s(QQ)),
         "rep_kron_i2.json": document_for(kron_i2(QQ)),
         "rep_kron_r_s1.json": document_for(
-            direct_sum(kron_regular(QQ, 1, 0), kron_s1(QQ))[0]),
+            direct_sum(kron_regular(QQ, 1, 0), kron_s1(QQ))),
         "rep_kron_rprime.json": document_for(kron_regular(QQ, 0, 1)),
         "rep_kron_s1_s2.json": document_for(
-            direct_sum(kron_s1(QQ), kron_s2(QQ))[0]),
+            direct_sum(kron_s1(QQ), kron_s2(QQ))),
         "rep_kron_dtr_s1.json": document_for(kron_dtr_s1(QQ)),
         "cert_kron_i2.json": document_for(cert_kron_i2(QQ)),
         "rep_nilp3_type3.json": document_for(t3),

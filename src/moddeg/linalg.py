@@ -148,10 +148,6 @@ class Matrix:
         return cls._from_entries(field, n, n, [((i,), one) for i in range(n)])
 
     @classmethod
-    def column_vector(cls, field, entries: Sequence) -> "Matrix":
-        return cls.from_rows(field, [[v] for v in entries], cols=1)
-
-    @classmethod
     def unit_vector(cls, field, n: int, i: int) -> "Matrix":
         one = ((0,), (field.one,))
         return cls._from_entries(field, n, 1, [one if j == i else ((), ()) for j in range(n)])
@@ -633,9 +629,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.ambient_dim == other.ambient_dim and self.basis == other.basis)
@@ -725,7 +718,11 @@ def kernel(m: Matrix) -> Subspace:
     all lie to its right.  The solutions are then zero at each other's
     leading columns, so they are already the reduced echelon rows of the
     null space: the canonical basis, each row of which is read straight
-    off one echelon row or is a unit row at a free column."""
+    off one echelon row or is a unit row at a free column.  A matrix with
+    no stored entry has every column free: its kernel is the whole space,
+    with no elimination."""
+    if m.is_zero():
+        return Subspace.full(m.field, m.cols)
     n = m.cols
     ech, rank, pivots = rref(Matrix._from_entries(m.field, m.rows, n, [
         (tuple([n - 1 - j for j in reversed(cols)]), vals[::-1])

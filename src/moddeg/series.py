@@ -195,20 +195,19 @@ def flag_basis(rep: Representation, flags: list[Subspace]) -> Matrix:
 
 
 def triangularize_flags(rep: Representation,
-                        flags: list[Subspace]) -> tuple[TriangularRep, Matrix]:
+                        flags: list[Subspace]) -> TriangularRep:
     """Change of basis adapted to an ascending flag of invariant subspaces.
 
     The output representation is triangular in the ``flag_basis`` and
-    conjugate to the input.  Returns the representation and the basis.
+    conjugate to the input.
     """
-    basis = flag_basis(rep, flags)
-    return TriangularRep(conjugate(rep, basis)), basis
+    return TriangularRep(conjugate(rep, flag_basis(rep, flags)))
 
 
 def series_to_triangular(series: CompositionSeries) -> TriangularRep:
     """Rewrite the ambient module in a basis adapted to the series."""
     return triangularize_flags(series.ambient,
-                               [f.space for f in series.flags])[0]
+                               [f.space for f in series.flags])
 
 
 def chain_to_triangular(chain: ModuleChain) -> TriangularRep:
@@ -220,7 +219,7 @@ def chain_to_triangular(chain: ModuleChain) -> TriangularRep:
     top = Matrix.identity(chain.stages[-1].field, chain.length)
     embs = chain_embeddings([inc.mat for inc in chain.inclusions], top)
     return triangularize_flags(
-        chain.stages[-1], [Subspace.from_columns(e) for e in embs])[0]
+        chain.stages[-1], [Subspace.from_columns(e) for e in embs])
 
 
 def triangular_to_series(tri: TriangularRep) -> CompositionSeries:

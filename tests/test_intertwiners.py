@@ -131,6 +131,7 @@ def test_canonical_hom_bases_match_the_dense_reference(case):
     m, n, support = case
     full = dense_intertwiner_basis(m, n)
     assert [h.mat for h in hom_basis(m, n)] == full
+    assert intertwiner_basis(m, n, range(n.dim * m.dim)) == full
     assert intertwiner_basis(m, n, support) == dense_intertwiner_basis(m, n, support)
 
 
@@ -142,9 +143,9 @@ def test_spin_hom_with_three_or_more_roots_matches_full_system(name):
                         random_invertible(fld, rng, sum(part)))
               for part in [(2, 1, 1), (1, 1, 1, 1), (2, 2, 1)]]
     kron = [conjugate(rep, random_invertible(fld, rng, rep.dim)) for rep in (
-        direct_sum(direct_sum(kron_s1(fld), kron_s1(fld))[0],
-                   direct_sum(kron_s1(fld), kron_s2(fld))[0])[0],
-        direct_sum(direct_sum(kron_i2(fld), kron_s1(fld))[0], kron_s1(fld))[0])]
+        direct_sum(direct_sum(kron_s1(fld), kron_s1(fld)),
+                   direct_sum(kron_s1(fld), kron_s2(fld))),
+        direct_sum(direct_sum(kron_i2(fld), kron_s1(fld)), kron_s1(fld)))]
     for pool in (jordan, kron):
         for m in pool:
             assert hom_spin(m, m).equations.cols // m.dim >= 3
@@ -248,7 +249,7 @@ def test_hom_basis_matches_independent_solver_on_conjugated_pairs():
 
 def test_triangular_intertwiners_refuse_different_algebras():
     s = simple_module(QQ, 2)
-    s3 = TriangularRep(direct_sum(direct_sum(s, s)[0], s)[0])
+    s3 = TriangularRep(direct_sum(direct_sum(s, s), s))
     mu = mu_corner_triangular(QQ)
     assert s3.dim == mu.dim == 3
     with pytest.raises(AlgebraMismatch):

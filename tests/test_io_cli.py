@@ -16,10 +16,12 @@ from moddeg import (CompositionVectorDoc, direct_sum, enum_submodules,
                     format_document, parse_document, verify_certificate,
                     document_for)
 from moddeg.cli import COMMANDS, build_parser, main
-from moddeg.errors import ParseError, TooLarge
+from moddeg.errors import ParseError, TooLarge, TriangularityViolated
 from moddeg.fields import GF, QQ
-from moddeg.fixtures import (cert_dual_eta, fixture_documents, kron_i2,
-                             regular_module, simple_module, write_fixture_files)
+from moddeg.fixtures import (cert_dual_eta, fixture_documents, jordan_module,
+                             kron_i2, regular_module, simple_module,
+                             write_fixture_files)
+from moddeg.series import TriangularRep
 
 from support import brute_submodules, submodule_point_set
 
@@ -133,7 +135,7 @@ def test_document_for_needs_a_field_when_the_value_has_none():
 def test_enum_submodules_examples():
     s = simple_module(F2)
     assert len(enum_submodules(s)) == 2
-    ss = direct_sum(s, s)[0]
+    ss = direct_sum(s, s)
     assert len(enum_submodules(ss)) == 5
     lam = regular_module(F2, 2)
     subs = enum_submodules(lam)
@@ -145,7 +147,7 @@ def test_enum_submodules_examples():
 
 def test_enum_submodules_against_independent_enumeration():
     for rep in (simple_module(F2), regular_module(F2, 2),
-                direct_sum(simple_module(F2), regular_module(F2, 2))[0],
+                direct_sum(simple_module(F2), regular_module(F2, 2)),
                 kron_i2(F2)):
         if rep.dim > 3:
             continue
@@ -456,6 +458,19 @@ def test_cli_sim_tri_refuses_series_of_other_modules(files):
     code, out, err = run_cli(["sim-tri", *map(data_path, files)])
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "NotSubmodule"
+
+
+def test_non_triangular_generators_are_refused_by_name():
+    """The Jordan block of type (3) is not upper triangular: the library
+    refuses it as a triangular form and names the generator, and the
+    commands that need a triangular form exit 2 with that error."""
+    with pytest.raises(TriangularityViolated, match="'x'"):
+        TriangularRep(jordan_module(QQ, 3, (3,)))
+    rep = data_path("rep_nilp3_type3.json")
+    for argv in (["orbit-dim", "--ud", rep], ["series-iso", rep, rep]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "TriangularityViolated"
 
 
 # Values for the options that take a plain value rather than a document.

@@ -92,7 +92,7 @@ def test_make_monic_noop_on_monic_ladder():
 
 def test_make_monic_shrinks_zero_map_column():
     s = simple_module(QQ)
-    ss = direct_sum(s, s)[0]
+    ss = direct_sum(s, s)
     chain = ModuleChain((s, ss), (ModuleMap(s, ss, Matrix.from_rows(QQ, [[0], [1]])),))
     lad = ladder_from_columns(
         chain, chain,

@@ -43,23 +43,48 @@ def test_every_module_level_import_is_used():
 
 
 
-def test_every_top_level_definition_is_exported_or_read():
-    """Every module-level function and class is in ``moddeg.__all__`` or
-    read, by name or as an attribute, somewhere in the package, so no
-    helper is left behind dead.  ``fixtures`` builds the shipped data
-    files and the test inputs, so it is exempt."""
+def _library_trees() -> tuple[dict, set]:
+    """The syntax tree of every library module but ``fixtures``, which
+    builds the shipped data files and the test inputs, with the set of
+    names read, by name or as an attribute, anywhere in the package."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in SOURCES}
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             or isinstance(node, ast.Attribute)}
+    return ({name: tree for name, tree in trees.items() if name != "fixtures.py"},
+            read)
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def test_every_top_level_definition_is_exported_or_read():
+    """Every module-level function and class is in ``moddeg.__all__`` or
+    read somewhere in the package, so no helper is left behind dead."""
+    trees, read = _library_trees()
     found = [f"{name}:{node.lineno} defines unused {node.name}"
-             for name, tree in trees.items() if name != "fixtures.py"
-             for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
+             for name, tree in trees.items() for node in tree.body
+             if isinstance(node, (*FUNCTIONS, ast.ClassDef))
              and node.name not in moddeg.__all__ and node.name not in read]
+    assert found == []
+
+
+# Read only by ``bench/tracing.py``, which wraps each by name to time it.
+TRACED_METHODS = {"Subspace.left_annihilator", "Subspace.contains_vector"}
+
+
+def test_every_method_is_read():
+    """Every non-dunder method of a library class is read somewhere in the
+    package, so no method is kept alive by the tests alone."""
+    trees, read = _library_trees()
+    found = [f"{name}:{node.lineno} defines unused {cls.name}.{node.name}"
+             for name, tree in trees.items() for cls in tree.body
+             if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, FUNCTIONS)
+             and not node.name.startswith("__") and node.name not in read
+             and f"{cls.name}.{node.name}" not in TRACED_METHODS]
     assert found == []
 
 

@@ -138,7 +138,7 @@ def modules(fld) -> list:
             jordan_module(fld, 3, (2, 1)), jordan_module(fld, 2, (2, 1, 1)),
             kron_s1(fld), kron_regular(fld, 1, 0), kron_regular(fld, 1, 1),
             kron_i2(fld), kron_dtr_s1(fld), bidir_m(fld), bidir_n(fld),
-            direct_sum(bidir_m(fld), bidir_n(fld))[0]]
+            direct_sum(bidir_m(fld), bidir_n(fld))]
 
 
 def triangular_forms(fld) -> list[TriangularRep]:
@@ -197,7 +197,7 @@ def group_split(fld, rng: random.Random) -> list[str]:
              (kron_regular(fld, 1, 0), kron_s1(fld)),
              (bidir_m(fld), bidir_n(fld))]
     for x, y in pairs:
-        for sub in submodules(direct_sum(x, y)[0], rng):
+        for sub in submodules(direct_sum(x, y), rng):
             lines.append(call(split_submodule, x, y, sub))
     certs = certificates(fld)
     for c in certs + [trivial_certificate(cert.m) for cert in certs[:4]]:
