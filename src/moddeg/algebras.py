@@ -12,12 +12,12 @@ n_g (H b_j) = H (m_g b_j) of an intertwiner H on a basis b of M.  Every
 full Hom(M, N) is solved on the spin basis (``hom_spin``): H is fixed by
 its values on the t roots from which the generators spin b, so the system
 has t * dim N unknowns.  ``hom_basis`` reads its kernel back as the
-canonical basis, and ``hom_dim`` needs only the rank.  ``intertwiner_system``
-takes the unit vectors, one unknown per entry of H, for intertwiners held
-to a support: ``intertwiner_basis`` reads its kernel (the triangular Hom
-of ``series``), ``ladders.orbit_dim_ud`` needs only its rank, and with
-full support its rows hold the certificate lift of ``degeneration`` to
-Hom.
+canonical basis, inverting the spin basis to do so, and ``hom_dim``
+needs only the rank.  ``intertwiner_system`` takes the unit vectors, one
+unknown per entry of H, for intertwiners held to a support:
+``intertwiner_basis`` reads its kernel (the triangular Hom of
+``series``), ``ladders.orbit_dim_ud`` needs only its rank, and with full
+support its rows hold the certificate lift of ``degeneration`` to Hom.
 """
 
 from __future__ import annotations
@@ -235,14 +235,6 @@ class ModuleMap:
                 "map fails to factor through the inclusion")
         return x
 
-    @classmethod
-    def identity(cls, rep: Representation) -> "ModuleMap":
-        return cls(rep, rep, Matrix.identity(rep.field, rep.dim))
-
-    @classmethod
-    def zero(cls, source: Representation, target: Representation) -> "ModuleMap":
-        return cls(source, target, Matrix.zeros(source.field, target.dim, source.dim))
-
 
 @dataclass(frozen=True)
 class Submodule:
@@ -374,13 +366,12 @@ class HomSpin:
     identity at a root) and ``places[j]`` the block of unknowns holding
     h_k.  ``equations`` are ``intertwiner_equations`` on B with these
     words and places, for every image m_g b_j that did not become a
-    column; its column count is the number of unknowns.  ``inverse`` is
-    B^-1.
+    column; its column count is the number of unknowns.  ``basis`` is B.
     """
 
     words: tuple
     places: tuple
-    inverse: Matrix
+    basis: Matrix
     equations: Matrix
 
 
@@ -392,7 +383,7 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
     one_m, one_n = Matrix.identity(fld, dm), Matrix.identity(fld, dn)
     gens = [g for g, (a, b) in enumerate(zip(m.mats, n.mats))
             if a != one_m or b != one_n]
-    tracker = EchelonTracker(fld, dm)
+    tracker = EchelonTracker(fld)
     columns, words, places = [], [], []
     pending = []          # (n_g W_j, j, m_g b_j) for every image already in the span
     nvars = 0
@@ -418,12 +409,10 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
                 else:
                     pending.append((lead, j, vec))
             j += 1
-    solved = solve_right(hstack(Matrix.zeros(fld, dm, 0), *columns),
-                         hstack(*[vec for _, _, vec in pending], one_m))
-    coords = solved.transpose().entries
-    npairs = len(pending)
-    return HomSpin(tuple(words), tuple(places),
-                   solved.submatrix(range(dm), range(npairs, npairs + dm)),
+    basis = hstack(Matrix.zeros(fld, dm, 0), *columns)
+    coords = solve_right(basis, hstack(Matrix.zeros(fld, dm, 0),
+                                       *[vec for _, _, vec in pending])).transpose().entries
+    return HomSpin(tuple(words), tuple(places), basis,
                    intertwiner_equations(fld, nvars, words, places, [
                        (lead, j, c) for (lead, j, _), c in zip(pending, coords)]))
 
@@ -437,7 +426,7 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     W_j K[places[j]] holds H b_j for every kernel vector at once.  Stacked
     so that row r * m.dim + j is row r of block j, column v holds H_v B
     flattened, and ``block_diag`` of n.dim copies of B^-T turns it into
-    H_v flattened."""
+    H_v flattened.  Only this reader of the spin inverts B."""
     spin = hom_spin(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
     ker = kernel(spin.equations).basis
@@ -448,14 +437,14 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
               for w, place in zip(spin.words, spin.places)]
     spun = Matrix._from_entries(fld, dn * dm, kb, [
         images[j].entries[r] for r in range(dn) for j in range(dm)])
-    maps = block_diag(*[spin.inverse.transpose()] * dn) @ spun
+    maps = block_diag(*[inverse(spin.basis).transpose()] * dn) @ spun
     return [ModuleMap(m, n, unflatten(fld, dn, dm, row))
             for row in rref(maps.transpose())[0].entries]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom(m, n): the unknowns of the spin system (``hom_spin``) less
-    its rank."""
+    its rank, with no inverse of the spin basis."""
     equations = hom_spin(m, n).equations
     return equations.cols - equations.rank()
 

@@ -50,10 +50,6 @@ class LadderCertificate:
     def length(self) -> int:
         return self.m_chain.length
 
-    def column(self, i: int) -> RiedtmannCertificate:
-        """The i-th column (0-based) as a degeneration certificate."""
-        return self.columns[i]
-
     @property
     def x(self) -> tuple[Representation, ...]:
         return tuple(c.x for c in self.columns)
@@ -140,11 +136,11 @@ def make_monic(lc: LadderCertificate) -> LadderCertificate:
     dimensions weakly decrease.  The output verifies or the call fails.
     """
     cols, h = list(lc.columns), list(lc.h)
-    while True:
-        bad = [r for r in range(lc.length - 1) if not h[r].mat.is_injective()]
-        if not bad:
-            break
-        r = bad[-1]
+    # Replacing column r leaves h[r] injective and changes only h[r - 1]
+    # below it, so one downward pass meets every offending index.
+    for r in reversed(range(lc.length - 1)):
+        if h[r].mat.is_injective():
+            continue
         im_rep, im_inc = sub_representation(cols[r + 1].x, image(h[r].mat))
         proj = im_inc.factor(h[r].mat)
         cols[r] = cols[r + 1].restrict(im_inc, lc.m_chain.inclusions[r],
@@ -205,7 +201,7 @@ def build_family(lc: LadderCertificate,
          for hm, inc in zip(lc.h, lc.m_chain.inclusions)],
         Matrix.identity(fld, ambient.dim))
     w = image(lc.columns[-1].column_map())
-    tracker = EchelonTracker(fld, ambient.dim)
+    tracker = EchelonTracker(fld)
     for col in w.basis.transpose().entries:
         tracker.add(col)
     chosen = []

@@ -27,13 +27,16 @@ canonical basis, which keeps it canonical, and eliminates nothing more.
 An input already in reduced column echelon form with no zero column is
 read, not eliminated: ``canonical_pivot_rows`` finds its pivot rows in
 one pass over its entries, ``Subspace.from_columns`` keeps it as the
-basis, and ``solve_right`` (as ``Subspace.coordinates`` does) reads the
-right-hand side at those rows and checks the product.
+basis, and ``solve_right`` reads the right-hand side at those rows and
+checks the product.
 
-Everything here is immutable and pure.  Subspaces are kept in a canonical
-reduced column echelon basis so that two subspaces are equal if and only
-if their basis matrices are structurally equal; submodule chains elsewhere
-in the library terminate by exactly this equality test.
+Everything here is immutable and pure.  A ``Subspace`` is its canonical
+basis, the reduced column echelon basis of its span, so that two
+subspaces are equal if and only if their basis matrices are structurally
+equal; submodule chains elsewhere in the library terminate by exactly
+this equality test.  The constructor takes the basis alone, checks that
+it is canonical, and keeps its pivot rows, which ``coordinates``,
+``contains``, ``preimage`` and ``intersect`` read without a further pass.
 
 The reduced echelon form of a matrix is unique, so the order in which
 elimination meets its pivots does not show: all derived bases are
@@ -49,7 +52,8 @@ from itertools import compress, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch, NotContained
+from .errors import (DimensionMismatch, FieldMismatch,
+                     InternalInvariantViolation, NotContained)
 
 
 # Stored rows are built as lists and then copied into tuples of the exact
@@ -266,15 +270,8 @@ class Matrix:
         k = bisect_left(cols, j)
         return vals[k] if k < len(cols) and cols[k] == j else self.field.zero
 
-    def column(self, j: int) -> tuple:
-        return tuple([self.entry(i, j) for i in range(self.rows)])
-
     def column_matrix(self, j: int) -> "Matrix":
         return self.submatrix(range(self.rows), (j,))
-
-    def columns(self) -> list:
-        zero = self.field.zero
-        return [_dense(col, self.rows, zero) for col in self.transpose().entries]
 
     def submatrix(self, row_range, col_range) -> "Matrix":
         rows = [self.entries[i] for i in row_range]
@@ -570,9 +567,8 @@ class EchelonTracker:
     exactly when it lies in their span.
     """
 
-    def __init__(self, field, dim: int):
+    def __init__(self, field):
         self.field = field
-        self.dim = dim
         self.rows: dict[int, dict] = {}
 
     def add(self, row: tuple) -> bool:
@@ -580,58 +576,66 @@ class EchelonTracker:
         span."""
         return _insert(row, self.rows, self.field.characteristic)
 
-    def contains(self, row: tuple) -> bool:
-        p = self.field.characteristic
-        return not _reduce(_int_entries(row, p), self.rows, p)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 class Subspace:
-    """A subspace of k^n held by a canonical reduced-column-echelon basis.
+    """A subspace of k^n held by its canonical basis: the unique matrix in
+    reduced column echelon form with no zero column whose columns span it.
 
-    Two subspaces are equal iff their basis matrices are identical, so
-    structural equality is set equality.
+    The basis is the one value a subspace holds; ``field`` and
+    ``ambient_dim`` are the basis' own.  The constructor reads the basis'
+    pivot rows once (``canonical_pivot_rows``), keeps them as
+    ``pivot_rows``, and raises InternalInvariantViolation on a basis that
+    is not canonical.  Two subspaces are equal iff their basis matrices
+    are identical, so structural equality is set equality.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("basis", "pivot_rows")
 
-    def __init__(self, field, ambient_dim: int, basis: Matrix):
-        self.field = field
-        self.ambient_dim = ambient_dim
+    def __init__(self, basis: Matrix):
+        rows = canonical_pivot_rows(basis)
+        if rows is None:
+            raise InternalInvariantViolation(
+                "subspace basis is not in reduced column echelon form")
         self.basis = basis
+        self.pivot_rows = rows
 
     @classmethod
     def from_columns(cls, mat: Matrix) -> "Subspace":
         """The span of the columns of ``mat``: ``mat`` itself when it is
-        already canonical (``canonical_pivot_rows``), and otherwise the
+        already canonical, its pivot rows read once, and otherwise the
         transpose of the nonzero rows of ``rref(mat.transpose())``."""
-        if canonical_pivot_rows(mat) is not None:
-            return cls(mat.field, mat.rows, mat)
-        ech, rank, _ = rref(mat.transpose())
-        rows = Matrix._from_entries(mat.field, rank, mat.rows, ech.entries[:rank])
-        return cls(mat.field, mat.rows, rows.transpose())
+        rows = canonical_pivot_rows(mat)
+        if rows is None:
+            ech, rank, _ = rref(mat.transpose())
+            return cls(Matrix._from_entries(mat.field, rank, mat.rows,
+                                            ech.entries[:rank]).transpose())
+        out = object.__new__(cls)
+        out.basis = mat
+        out.pivot_rows = rows
+        return out
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.zeros(field, ambient_dim, 0))
+        return cls(Matrix.zeros(field, ambient_dim, 0))
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim))
+        return cls(Matrix.identity(field, ambient_dim))
+
+    @property
+    def field(self):
+        return self.basis.field
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.rows
 
     @property
     def dim(self) -> int:
         return self.basis.cols
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient_dim == other.ambient_dim and self.basis == other.basis)
+        return isinstance(other, Subspace) and self.basis == other.basis
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
@@ -639,15 +643,10 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim} over {self.field})"
 
-    def pivot_rows(self) -> list[int]:
-        """The rows of the basis columns' leading ones; the basis is the
-        identity on them."""
-        return canonical_pivot_rows(self.basis)
-
     def coordinates(self, mat: Matrix) -> Optional[Matrix]:
         """The X with ``basis @ X = mat``: ``mat`` read at the pivot rows,
         or None when a column of ``mat`` leaves the span."""
-        return _read_at_pivots(self.basis, self.pivot_rows(), mat)
+        return _read_at_pivots(self.basis, self.pivot_rows, mat)
 
     def contains_vector(self, vec: Matrix) -> bool:
         if vec.rows != self.ambient_dim:
@@ -669,11 +668,11 @@ class Subspace:
         of ``preimage(B, other)``.  B is the identity at its pivot rows
         and zero above them, so the product has a leading one at the pivot
         row of each preimage column's leading one and is zero at the
-        others' leading rows: it is canonical as it stands."""
+        others' leading rows: it is canonical as it stands, and the
+        constructor checks it."""
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return Subspace(self.field, self.ambient_dim,
-                        self.basis @ preimage(self.basis, other).basis)
+        return Subspace(self.basis @ preimage(self.basis, other).basis)
 
     def left_annihilator(self) -> Matrix:
         """Rows spanning { r : r . basis = 0 }; empty for the full space."""
@@ -690,7 +689,7 @@ class Subspace:
             within = Subspace.full(self.field, self.ambient_dim)
         if not within.contains(self):
             raise NotContained("subspace is not contained in the given space")
-        tracker = EchelonTracker(self.field, self.ambient_dim)
+        tracker = EchelonTracker(self.field)
         for col in self.basis.transpose().entries:
             tracker.add(col)
         need = within.dim - self.dim
@@ -718,9 +717,10 @@ def kernel(m: Matrix) -> Subspace:
     all lie to its right.  The solutions are then zero at each other's
     leading columns, so they are already the reduced echelon rows of the
     null space: the canonical basis, each row of which is read straight
-    off one echelon row or is a unit row at a free column.  A matrix with
-    no stored entry has every column free: its kernel is the whole space,
-    with no elimination."""
+    off one echelon row or is a unit row at a free column.  The free
+    columns are its pivot rows, which ``Subspace`` reads and checks once.
+    A matrix with no stored entry has every column free: its kernel is the
+    whole space, with no elimination."""
     if m.is_zero():
         return Subspace.full(m.field, m.cols)
     n = m.cols
@@ -740,7 +740,7 @@ def kernel(m: Matrix) -> Subspace:
     for c, (cols, vals) in zip(pivots, ech.entries[:rank]):
         out[n - 1 - c] = (tuple([place[j] for j in reversed(cols[1:])]),
                           tuple([neg(v) for v in reversed(vals[1:])]))
-    return Subspace(field, n, Matrix._from_entries(field, n, len(place), out))
+    return Subspace(Matrix._from_entries(field, n, len(place), out))
 
 
 def image(m: Matrix) -> Subspace:
@@ -752,4 +752,4 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     read at s's pivot rows, which is zero exactly on the span of s."""
     if s.ambient_dim != m.rows:
         raise DimensionMismatch("subspace does not live in the codomain")
-    return kernel(m - s.basis @ m.submatrix(s.pivot_rows(), range(m.cols)))
+    return kernel(m - s.basis @ m.submatrix(s.pivot_rows, range(m.cols)))

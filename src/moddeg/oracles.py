@@ -39,8 +39,7 @@ def enum_submodules(rep: Representation, guard: int = ENUM_GUARD) -> list[Submod
                     rows[i][p] = fld.one
                 for (i, j), v in zip(free_slots, values):
                     rows[i][j] = v
-                sub = Submodule(rep, Subspace(
-                    fld, d, Matrix.from_rows(fld, rows).transpose()))
+                sub = Submodule(rep, Subspace(Matrix.from_rows(fld, rows).transpose()))
                 if sub.is_invariant():
                     out.append(sub)
     return out

@@ -235,8 +235,7 @@ def triangular_to_series(tri: TriangularRep) -> CompositionSeries:
     # upper-triangular generators; its canonical basis is the identity's
     # first columns.
     ident = Matrix.identity(fld, rep.dim)
-    flags = [Submodule(rep, Subspace(fld, rep.dim,
-                                     ident.submatrix(range(rep.dim), range(i))))
+    flags = [Submodule(rep, Subspace(ident.submatrix(range(rep.dim), range(i))))
              for i in range(1, rep.dim + 1)]
     factors = []
     for i in range(rep.dim):

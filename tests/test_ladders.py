@@ -12,6 +12,7 @@ from moddeg import (LadderCertificate, Matrix, ModuleMap, build_family,
                     make_monic, orbit_dim_ud, psi_embed,
                     series_isomorphic, validate,
                     verify_certificate, verify_ladder)
+from moddeg.algebras import sub_representation, zero_representation
 from moddeg.errors import BadParameter, VerificationFailed
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (kron_r2_mu, kron_r2_nu, ladder_nilp3_corner,
@@ -20,6 +21,7 @@ from moddeg.fixtures import (kron_r2_mu, kron_r2_nu, ladder_nilp3_corner,
                              nu_shift_triangular, regular_module,
                              simple_module, trivial_ladder,
                              truncated_polynomial_algebra, y_module)
+from moddeg.linalg import hstack, image, vstack
 from moddeg.series import (ModuleChain, TriangularRep, chain_to_triangular,
                            upper_triangular_hom_basis)
 from moddeg.oracles import nilpotent_degenerates, nilpotent_rank_profile
@@ -36,8 +38,9 @@ def test_both_shipped_ladders_verify():
 
 def test_h_map_off_the_x_slots_is_a_failed_item_not_a_crash():
     lad = ladder_nilp3_corner(QQ)
+    y = y_module(QQ)
     bad = dataclasses.replace(
-        lad, h=(ModuleMap.identity(y_module(QQ)),) + lad.h[1:])
+        lad, h=(ModuleMap(y, y, Matrix.identity(QQ, y.dim)),) + lad.h[1:])
     report = verify_ladder(bad)
     assert [it.name for it in report.failures()] == ["h_1 intertwines"]
     with pytest.raises(VerificationFailed):
@@ -53,7 +56,7 @@ def test_single_column_ladder_is_certificate_check():
                                g=[Matrix.zeros(QQ, 1, 1)],
                                q=[Matrix.from_rows(QQ, [[0, 1]])])
     assert verify_ladder(good).ok
-    assert verify_certificate(good.column(0)).ok
+    assert verify_certificate(good.columns[0]).ok
     bad = ladder_from_columns(chain, chain, x=[s],
                               h=[], f=[Matrix.from_rows(QQ, [[1]])],
                               g=[Matrix.zeros(QQ, 1, 1)],
@@ -109,6 +112,68 @@ def test_make_monic_shrinks_zero_map_column():
     # dimension bookkeeping of the replaced column
     assert mono.x[0].dim + mono.m_chain.stages[0].dim == \
         mono.x[0].dim + mono.n_chain.stages[0].dim
+
+
+def _make_monic_by_rounds(lc: LadderCertificate) -> LadderCertificate:
+    """The reference monicization: every round recomputes which h maps
+    are not injective and replaces the column of the largest such index,
+    until none is left."""
+    cols, h = list(lc.columns), list(lc.h)
+    while True:
+        bad = [r for r in range(lc.length - 1) if not h[r].mat.is_injective()]
+        if not bad:
+            return LadderCertificate(lc.m_chain, lc.n_chain, tuple(cols), tuple(h))
+        r = bad[-1]
+        im_rep, im_inc = sub_representation(cols[r + 1].x, image(h[r].mat))
+        proj = im_inc.factor(h[r].mat)
+        cols[r] = cols[r + 1].restrict(im_inc, lc.m_chain.inclusions[r],
+                                       lc.n_chain.inclusions[r])
+        h[r] = im_inc
+        if r > 0:
+            h[r - 1] = ModuleMap(h[r - 1].source, im_rep, proj @ h[r - 1].mat)
+
+
+def _split_ladder(x_dims: list[int], h: list[Matrix]) -> LadderCertificate:
+    """The ladder on the border chain S, S^2, .., S^d of the simple module
+    (each stage included as the last coordinates of the next) whose column
+    i is the split certificate X_i = S^k, (f; g) = (1; 0), q = [0 | 1],
+    with k = ``x_dims[i]``.  S is killed by X, so every linear map between
+    the X_i intertwines and both squares commute over any ``h``."""
+    d = len(x_dims)
+    s = simple_module(QQ)
+    stages = [s]
+    for _ in range(d - 1):
+        stages.append(direct_sum(stages[-1], s))
+    xs = [zero_representation(s.algebra, QQ)] + stages
+    chain = ModuleChain(tuple(stages), tuple(
+        ModuleMap(stages[i], stages[i + 1],
+                  vstack(Matrix.zeros(QQ, 1, i + 1), Matrix.identity(QQ, i + 1)))
+        for i in range(d - 1)))
+    return ladder_from_columns(
+        chain, chain, x=[xs[k] for k in x_dims], h=h,
+        f=[Matrix.identity(QQ, k) for k in x_dims],
+        g=[Matrix.zeros(QQ, i + 1, k) for i, k in enumerate(x_dims)],
+        q=[hstack(Matrix.zeros(QQ, i + 1, k), Matrix.identity(QQ, i + 1))
+           for i, k in enumerate(x_dims)])
+
+
+@pytest.mark.parametrize("x_dims,h", [
+    ([1, 1, 1], [Matrix.zeros(QQ, 1, 1)] * 2),
+    ([1, 1, 1, 1], [Matrix.zeros(QQ, 1, 1)] * 3),
+    ([2, 1, 1], [Matrix.from_rows(QQ, [[1, 0]]), Matrix.zeros(QQ, 1, 1)]),
+], ids=["zero-3", "zero-4", "rank-1-then-zero"])
+def test_make_monic_cascades_down_the_ladder(x_dims, h):
+    """Every replacement makes the h map below it non-injective, so all
+    columns below the top are replaced, as the round-by-round reference
+    replaces them.  In the last case h_1 has rank 1: a pass upwards would
+    replace X_1 by its image S before h_2 is replaced, and leave h_1 not
+    injective."""
+    lad = _split_ladder(x_dims, h)
+    assert verify_ladder(lad).ok
+    mono = make_monic(lad)
+    assert mono == _make_monic_by_rounds(lad)
+    assert [x.dim for x in mono.x] == [0] * (len(x_dims) - 1) + [1]
+    assert verify_ladder(mono).ok
 
 
 def test_family_on_zero_top_row_is_constant():

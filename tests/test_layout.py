@@ -43,18 +43,18 @@ def test_every_module_level_import_is_used():
 
 
 
-def _library_trees() -> tuple[dict, set]:
+def _library_trees() -> tuple[dict, set, set]:
     """The syntax tree of every library module but ``fixtures``, which
-    builds the shipped data files and the test inputs, with the set of
-    names read, by name or as an attribute, anywhere in the package."""
+    builds the shipped data files and the test inputs, with the sets of
+    names read anywhere in the package by name and as an attribute."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in SOURCES}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-            or isinstance(node, ast.Attribute)}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
     return ({name: tree for name, tree in trees.items() if name != "fixtures.py"},
-            read)
+            {node.id for node in nodes if isinstance(node, ast.Name)},
+            {node.attr for node in nodes if isinstance(node, ast.Attribute)})
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -63,27 +63,33 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 def test_every_top_level_definition_is_exported_or_read():
     """Every module-level function and class is in ``moddeg.__all__`` or
     read somewhere in the package, so no helper is left behind dead."""
-    trees, read = _library_trees()
+    trees, names, attributes = _library_trees()
     found = [f"{name}:{node.lineno} defines unused {node.name}"
              for name, tree in trees.items() for node in tree.body
              if isinstance(node, (*FUNCTIONS, ast.ClassDef))
-             and node.name not in moddeg.__all__ and node.name not in read]
+             and node.name not in moddeg.__all__
+             and node.name not in names | attributes]
     assert found == []
 
 
-# Read only by ``bench/tracing.py``, which wraps each by name to time it.
-TRACED_METHODS = {"Subspace.left_annihilator", "Subspace.contains_vector"}
+# Read only by ``bench/tracing.py``: it wraps the two ``Subspace`` methods
+# by name to time them, and patches the ``inv`` of each field class with a
+# call counter.
+TRACED_METHODS = {"Subspace.left_annihilator", "Subspace.contains_vector",
+                  "Rationals.inv", "PrimeField.inv"}
 
 
 def test_every_method_is_read():
-    """Every non-dunder method of a library class is read somewhere in the
-    package, so no method is kept alive by the tests alone."""
-    trees, read = _library_trees()
+    """Every non-dunder method of a library class is read as an attribute
+    somewhere in the package, so no method is kept alive by the tests
+    alone.  A method is reached only through an attribute, so a local
+    name or a stored attribute of the same name does not count."""
+    trees, _, attributes = _library_trees()
     found = [f"{name}:{node.lineno} defines unused {cls.name}.{node.name}"
              for name, tree in trees.items() for cls in tree.body
              if isinstance(cls, ast.ClassDef)
              for node in cls.body if isinstance(node, FUNCTIONS)
-             and not node.name.startswith("__") and node.name not in read
+             and not node.name.startswith("__") and node.name not in attributes
              and f"{cls.name}.{node.name}" not in TRACED_METHODS]
     assert found == []
 

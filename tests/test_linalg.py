@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from moddeg.algebras import hom_dim
-from moddeg.errors import DimensionMismatch, FieldMismatch, NotContained
+from moddeg.errors import (DimensionMismatch, FieldMismatch,
+                           InternalInvariantViolation, NotContained)
 from moddeg.fields import GF, QQ, PrimeField
 from moddeg.fixtures import jordan_module
 from moddeg.linalg import (EchelonTracker, Matrix, Subspace, block_diag,
@@ -72,7 +73,7 @@ def test_kernel_identity_and_zero():
 def test_kernel_f2_example():
     k = kernel(Matrix.from_rows(F2, [[1, 1]]))
     assert k.dim == 1
-    assert k.basis.column(0) == (1, 1)
+    assert k.basis.transpose().data == ((1, 1),)
 
 
 def test_intersect_examples():
@@ -99,8 +100,7 @@ def test_complement_requires_containment():
 def test_complement_prefers_unit_vectors():
     line = Subspace.from_columns(Matrix.from_columns(QQ, [[1, 1, 0]]))
     ext = line.complement_basis()
-    assert ext.columns() == [Matrix.unit_vector(QQ, 3, 0).column(0),
-                             Matrix.unit_vector(QQ, 3, 2).column(0)]
+    assert ext.transpose().data == ((1, 0, 0), (0, 0, 1))
 
 
 @st.composite
@@ -143,7 +143,7 @@ def test_canonical_equality(seed, fld, dim):
     # shuffling and rescaling spanning vectors gives the same subspace object
     rng = random.Random(seed)
     s = random_subspace(fld, rng, dim)
-    cols = [s.basis.column(j) for j in range(s.dim)]
+    cols = list(s.basis.transpose().data)
     rng.shuffle(cols)
     mixed = []
     for i, col in enumerate(cols):
@@ -350,20 +350,28 @@ def test_matmul_matches_dense_reference(data):
     assert a @ b == dense_matmul(a, b)
 
 
+def _enlarges(tracker: EchelonTracker, row: tuple) -> bool:
+    """Whether adding ``row`` enlarges the tracker's span, asked of a copy
+    of its pivot rows so that the tracker itself is left as it is."""
+    probe = EchelonTracker(tracker.field)
+    probe.rows = dict(tracker.rows)
+    return probe.add(row)
+
+
 @given(sparse_matrices(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_echelon_tracker_agrees_with_independent_rank(m, data):
     fld = m.field
     p = 0 if fld == QQ else fld.p
-    tracker = EchelonTracker(fld, m.cols)
+    tracker = EchelonTracker(fld)
     for i, row in enumerate(m.entries):
-        before = tracker.rank
+        before = len(tracker.rows)
         grew = tracker.add(row)
-        assert tracker.rank == before + grew == independent_rank(m.data[:i + 1], p)
+        assert len(tracker.rows) == before + grew == independent_rank(m.data[:i + 1], p)
     probes = data.draw(sparse_matrices(cols=m.cols, fld=fld))
     for row, dense in zip(probes.entries, probes.data):
         grown = independent_rank(list(m.data) + [dense], p)
-        assert tracker.contains(row) == (grown == tracker.rank)
+        assert _enlarges(tracker, row) == (grown > len(tracker.rows))
 
 
 @st.composite
@@ -407,10 +415,10 @@ def test_integer_kernel_matches_dense_reference_on_wide_entries(m):
 def test_echelon_tracker_agrees_with_independent_rank_on_wide_entries(m, data):
     fld = m.field
     p = 0 if fld == QQ else fld.p
-    tracker = EchelonTracker(fld, m.cols)
+    tracker = EchelonTracker(fld)
     for row in m.entries:
         tracker.add(row)
-    assert tracker.rank == independent_rank(m.data, p)
+    assert len(tracker.rows) == independent_rank(m.data, p)
     # Probes in the span (random combinations of the rows) and, mostly,
     # outside it (rows of another wide matrix).
     probes = list(data.draw(wide_matrices(cols=m.cols, fld=fld)).data)
@@ -420,7 +428,7 @@ def test_echelon_tracker_agrees_with_independent_rank_on_wide_entries(m, data):
                        for j in range(m.cols)])
     for probe in probes:
         grown = independent_rank(list(m.data) + [probe], p)
-        assert tracker.contains(row_from_dense(probe)) == (grown == tracker.rank)
+        assert _enlarges(tracker, row_from_dense(probe)) == (grown > len(tracker.rows))
 
 
 F32003 = GF(32003)
@@ -462,7 +470,7 @@ def test_sparse_kernels_match_dense_references_on_large_sparse_matrices(m, data)
     # The kernel: vectors that m kills, as many as the nullity, independent.
     ker = kernel(m)
     assert ker.dim == m.cols - reference[1]
-    for col in ker.basis.columns():
+    for col in ker.basis.transpose().data:
         for cols, vals in m.entries:
             total = sum((v * col[j] for j, v in zip(cols, vals)), 0)
             assert (total % p if p else total) == 0
@@ -662,8 +670,6 @@ def test_row_sparse_storage_matches_dense_references(data):
     for result, reference in results:
         assert_stored_rows_canonical(result)
         assert dense_rows(result) == reference
-    assert m.columns() == [tuple(col) for col in dense_transpose(rows, nc)]
-    assert [m.column(j) for j in range(nc)] == m.columns()
     assert m.is_zero() == dense_is_zero(fld, rows)
     assert m.is_upper_triangular() == dense_is_upper_triangular(fld, rows)
 
@@ -711,7 +717,8 @@ def test_canonical_inputs_are_read_at_their_pivot_rows(data):
         a = random_canonical_basis(fld, rng, n, rng.randint(0, n), density)
     pivots = _leading_rows(a)
     assert canonical_pivot_rows(a) == pivots
-    assert Subspace.from_columns(a).basis == a
+    for s in (Subspace.from_columns(a), Subspace(a)):
+        assert (s.basis, s.field, s.ambient_dim, s.pivot_rows) == (a, fld, a.rows, pivots)
     inside = dense_matmul(a, random_matrix(fld, rng, a.cols, rng.randint(1, 3)))
     rhs = [inside]
     off = [i for i in range(a.rows) if i not in pivots]
@@ -730,6 +737,11 @@ def test_empty_shapes_solve_like_the_reference(fld, rows, cols):
     eliminated.  Zero and nonzero right-hand sides of one and two columns."""
     a = Matrix.zeros(fld, rows, cols)
     assert (canonical_pivot_rows(a) is not None) == (cols == 0)
+    if cols:
+        with pytest.raises(InternalInvariantViolation):
+            Subspace(a)
+    else:
+        assert Subspace(a) == Subspace.zero(fld, rows)
     rhs = [Matrix.zeros(fld, rows, 1), Matrix.zeros(fld, rows, 2)]
     if rows:
         rhs.append(Matrix.unit_vector(fld, rows, 1))
@@ -742,8 +754,9 @@ def test_empty_shapes_solve_like_the_reference(fld, rows, cols):
 def test_near_canonical_inputs_are_eliminated_and_agree(data):
     """A canonical basis spoilt in one place (a leading 2, an extra entry
     in a pivot row, a zero column, or two columns whose pivots are out of
-    order) is not read as canonical, and ``solve_right`` and
-    ``Subspace.from_columns`` still agree with the dense references."""
+    order) is not read as canonical, is refused as a ``Subspace`` basis,
+    and ``solve_right`` and ``Subspace.from_columns`` still agree with the
+    dense references."""
     fld = data.draw(st.sampled_from(FIELDS))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     n = data.draw(st.integers(1, 7))
@@ -768,6 +781,24 @@ def test_near_canonical_inputs_are_eliminated_and_agree(data):
         order[j], order[other] = other, j
         a = base.submatrix(range(n), order)
     assert canonical_pivot_rows(a) is None
+    with pytest.raises(InternalInvariantViolation):
+        Subspace(a)
     _solved_and_spanned_like_the_reference(
         a, [dense_matmul(a, random_matrix(fld, rng, a.cols, rng.randint(0, 3))),
             random_matrix(fld, rng, n, rng.randint(0, 3))])
+
+
+@given(sparse_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_stored_pivot_rows_match_the_canonical_and_dense_pivots(m, data):
+    """The pivot rows that ``from_columns``, ``kernel`` and ``intersect``
+    keep are those ``canonical_pivot_rows`` reads off their bases and the
+    pivot columns that dense elimination finds in the spanning vectors
+    written as rows."""
+    span = Subspace.from_columns(m)
+    other = Subspace.from_columns(data.draw(sparse_matrices(rows=m.rows, fld=m.field)))
+    null = kernel(m)
+    meet = span.intersect(other)
+    for s, spanning in ((span, m), (null, null.basis), (meet, meet.basis)):
+        assert s.pivot_rows == canonical_pivot_rows(s.basis)
+        assert s.pivot_rows == list(dense_rref(spanning.transpose())[2])
