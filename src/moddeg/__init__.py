@@ -21,7 +21,7 @@ from .series import (CompositionSeries, ModuleChain, TriangularRep,
                      composition_vector, series_chain, series_isomorphic,
                      series_to_triangular, simultaneous_triangularize,
                      socle, tc_idempotent_matrices, tc_membership,
-                     triangular_to_series)
+                     triangular_to_series, upper_triangular_hom_basis)
 from .ladders import (DeformationFamily, LadderCertificate, build_family,
                       evaluate_family, ladder_from_columns, make_monic,
                       orbit_dim_ud, psi_embed, upper_triangular_algebra,

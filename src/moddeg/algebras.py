@@ -15,9 +15,14 @@ has t * dim N unknowns.  ``hom_basis`` reads its kernel back as the
 canonical basis, inverting the spin basis to do so, and ``hom_dim``
 needs only the rank.  ``intertwiner_system`` takes the unit vectors, one
 unknown per entry of H, for intertwiners held to a support:
-``intertwiner_basis`` reads its kernel (the triangular Hom of
-``series``), ``ladders.orbit_dim_ud`` needs only its rank, and with full
-support its rows hold the certificate lift of ``degeneration`` to Hom.
+``intertwiner_basis`` unflattens its kernel (the triangular Hom basis of
+``series``), ``series.series_isomorphic`` reads the kernel's flattened
+vectors and unflattens only the maps it combines,
+``ladders.orbit_dim_ud`` needs only its rank, and with full support its
+rows hold the certificate lift of ``degeneration`` to Hom.  Both bases
+write no equations for a generator that is the identity on both sides
+(``acting_generators``), such as the unit of k[X]/(X^n): each of them
+would read H v = H v.
 """
 
 from __future__ import annotations
@@ -275,6 +280,17 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     return Representation(a.algebra, a.field, a.dim + b.dim, mats)
 
 
+def acting_generators(m: Representation, n: Representation) -> list[int]:
+    """The indices of the generators that are not the identity on both m
+    and n.  A generator that is the identity on both sides, such as the
+    unit of k[X]/(X^n), makes every intertwiner equation n_g (H v) = H (m_g v)
+    read H v = H v, so the intertwiner solvers write no rows for it."""
+    _check_compatible(m, n)
+    one_m, one_n = Matrix.identity(m.field, m.dim), Matrix.identity(n.field, n.dim)
+    return [g for g, (a, b) in enumerate(zip(m.mats, n.mats))
+            if a != one_m or b != one_n]
+
+
 def intertwiner_equations(fld, nvars: int, words: Sequence[Matrix],
                           places: Sequence[Sequence], pending) -> Matrix:
     """For a basis b of M and an unknown H: M -> N, the rows of
@@ -332,16 +348,19 @@ def intertwiner_system(m: Representation, n: Representation,
     row-major indices ``r * m.dim + c`` listed in ``support``, in that
     order, and every other entry of H is held at zero.  The equations are
     ``intertwiner_equations`` on the unit vectors e_j of M, with column j
-    of H as H e_j and the identity as every word.  They are written with
-    no elimination; with full support, ``range(n.dim * m.dim)``, their
-    null space is exactly the flattened Hom(m, n)."""
-    _check_compatible(m, n)
+    of H as H e_j and the identity as every word, for the generators of
+    ``acting_generators`` only: every row of a generator that is the
+    identity on both sides would come out zero and be left out.  They are
+    written with no elimination; with full support,
+    ``range(n.dim * m.dim)``, their null space is exactly the flattened
+    Hom(m, n)."""
+    gens = acting_generators(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
     unknown = [None] * (dn * dm)
     for k, flat in enumerate(support):
         unknown[flat] = k
-    pending = [(b, j, col) for a, b in zip(m.mats, n.mats)
-               for j, col in enumerate(a.transpose().entries)]
+    pending = [(n.mats[g], j, col) for g in gens
+               for j, col in enumerate(m.mats[g].transpose().entries)]
     return intertwiner_equations(fld, len(support), [Matrix.identity(fld, dn)] * dm,
                                  [unknown[j::dm] for j in range(dm)], pending)
 
@@ -359,14 +378,15 @@ class HomSpin:
     """The intertwiner equations of m -> n in the images of m's spin roots.
 
     m is spun from greedy unit vectors e_0, e_1, .. under the generators
-    that are not the identity on both sides, into the columns b_j of the
-    spin basis B.  An intertwiner H is fixed by the images h_k of the
-    roots, stacked in order as the unknowns: H b_j = W_j h_k for the root
-    k of b_j, with ``words[j]`` the word W_j in the n_g that spun b_j (the
-    identity at a root) and ``places[j]`` the block of unknowns holding
-    h_k.  ``equations`` are ``intertwiner_equations`` on B with these
-    words and places, for every image m_g b_j that did not become a
-    column; its column count is the number of unknowns.  ``basis`` is B.
+    that are not the identity on both sides (``acting_generators``), into
+    the columns b_j of the spin basis B.  An intertwiner H is fixed by
+    the images h_k of the roots, stacked in order as the unknowns:
+    H b_j = W_j h_k for the root k of b_j, with ``words[j]`` the word W_j
+    in the n_g that spun b_j (the identity at a root) and ``places[j]``
+    the block of unknowns holding h_k.  ``equations`` are
+    ``intertwiner_equations`` on B with these words and places, for every
+    image m_g b_j that did not become a column; its column count is the
+    number of unknowns.  ``basis`` is B.
     """
 
     words: tuple
@@ -378,11 +398,9 @@ class HomSpin:
 def hom_spin(m: Representation, n: Representation) -> HomSpin:
     """The spin system of Hom(m, n) (see ``HomSpin``).  It never uses the
     presentation's relations, so it serves any tuples of matrices."""
-    _check_compatible(m, n)
+    gens = acting_generators(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
-    one_m, one_n = Matrix.identity(fld, dm), Matrix.identity(fld, dn)
-    gens = [g for g, (a, b) in enumerate(zip(m.mats, n.mats))
-            if a != one_m or b != one_n]
+    one_n = Matrix.identity(fld, dn)
     tracker = EchelonTracker(fld)
     columns, words, places = [], [], []
     pending = []          # (n_g W_j, j, m_g b_j) for every image already in the span

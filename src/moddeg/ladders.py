@@ -353,6 +353,7 @@ def orbit_dim_ud(tri: TriangularRep) -> int:
     """Dimension of the upper-triangular conjugation orbit: dim U_d minus
     the dimension of the triangular self-intertwiner space.  The system of
     that space has the d(d+1)/2 entries of U_d as its unknowns, so this is
-    its rank, read without solving it."""
+    its rank, read without solving it.  The system has no rows for a
+    generator that acts as the identity, such as the unit of k[X]/(X^n)."""
     return intertwiner_system(tri.rep, tri.rep,
                               upper_triangular_support(tri, tri)).rank()

@@ -10,6 +10,7 @@ derived basis is reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,10 +19,10 @@ from .errors import (DimensionMismatch, FieldTooSmall,
                      SimpleNotOneDimensional, TriangularityViolated,
                      VectorMismatch, VerificationFailed)
 from .algebras import (ModuleMap, Representation, Submodule, conjugate,
-                       intertwiner_basis, quotient_by_subspace,
-                       sub_representation)
+                       intertwiner_basis, intertwiner_system,
+                       quotient_by_subspace, sub_representation, unflatten)
 from .linalg import (Matrix, Subspace, first_combination, hstack, image, kernel,
-                     row_from_dense, rref, vstack)
+                     rref, vstack)
 
 
 def socle(rep: Representation) -> Submodule:
@@ -334,22 +335,27 @@ def series_isomorphic(a: TriangularRep, b: TriangularRep,
 
     An upper-triangular matrix is invertible iff its diagonal is nonzero,
     so existence reduces to the d diagonal coordinate functionals on the
-    intertwiner space: if any vanishes identically the answer is no.
-    Otherwise the s <= d basis maps at the functionals' pivot columns
-    reach every diagonal, and a witness among their combinations is found
-    by a deterministic Vandermonde scan (exhaustively over tiny fields).
-    Raises FieldTooSmall when neither route is feasible.
+    intertwiner space: if any vanishes identically the answer is no.  They
+    are the rows of the kernel basis of the triangular system
+    (``intertwiner_system``) at the unknowns (j, j), read with no map
+    unflattened.  Otherwise the s <= d kernel vectors at the functionals'
+    pivot columns reach every diagonal; only they are unflattened into
+    maps of the canonical basis, and a witness among their combinations is
+    found by a deterministic Vandermonde scan (exhaustively over tiny
+    fields).  Raises FieldTooSmall when neither route is feasible.
     """
-    basis = upper_triangular_hom_basis(a, b)
+    support = upper_triangular_support(a, b)
+    homs = kernel(intertwiner_system(a.rep, b.rep, support)).basis
     d = a.dim
     fld = a.rep.field
     if d == 0:
         return ModuleMap(a.rep, b.rep, Matrix.zeros(fld, 0, 0))
-    functionals = Matrix._from_entries(fld, d, len(basis), [
-        row_from_dense([h.entry(j, j) for h in basis]) for j in range(d)])
+    functionals = homs.submatrix([bisect_left(support, j * (d + 1)) for j in range(d)],
+                                 range(homs.cols))
     if not all(cols for cols, _ in functionals.entries):
         return None
-    basis = [basis[c] for c in rref(functionals)[2]]
+    vectors = homs.transpose().entries
+    basis = [unflatten(fld, d, d, vectors[c], support) for c in rref(functionals)[2]]
     k = len(basis)
 
     def invertible(acc: Matrix) -> bool:

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from moddeg import Representation, direct_sum, hom_basis, hom_dim, series_isomorphic
-from moddeg.algebras import conjugate, hom_spin, intertwiner_basis
+from moddeg.algebras import (acting_generators, conjugate, hom_spin,
+                             intertwiner_basis, intertwiner_equations,
+                             intertwiner_system)
 from moddeg.errors import AlgebraMismatch
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
@@ -133,6 +135,46 @@ def test_canonical_hom_bases_match_the_dense_reference(case):
     assert [h.mat for h in hom_basis(m, n)] == full
     assert intertwiner_basis(m, n, range(n.dim * m.dim)) == full
     assert intertwiner_basis(m, n, support) == dense_intertwiner_basis(m, n, support)
+
+
+def every_pair_system(m, n, support) -> Matrix:
+    """``intertwiner_system`` with rows written for every generator pair,
+    the identity on both sides included."""
+    fld, dm, dn = m.field, m.dim, n.dim
+    unknown = [None] * (dn * dm)
+    for k, flat in enumerate(support):
+        unknown[flat] = k
+    pending = [(b, j, col) for a, b in zip(m.mats, n.mats)
+               for j, col in enumerate(a.transpose().entries)]
+    return intertwiner_equations(fld, len(support), [Matrix.identity(fld, dn)] * dm,
+                                 [unknown[j::dm] for j in range(dm)], pending)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("unit", ["identity", "sparse"])
+def test_intertwiner_system_matches_the_system_of_every_generator_pair(name, unit):
+    """Leaving out the generators that are the identity on both sides
+    keeps the system row for row, on full, upper-triangular and random
+    supports; a unit acting as the identity on only one side keeps its
+    rows."""
+    fld = FIELDS[name]
+    rng = random.Random(f"{name}:{unit}")
+    for d in range(5):
+        m = tuple_rep(KX3, fld, d, (unit, "sparse"), rng.randrange(1 << 30))
+        same_unit = [m, tuple_rep(KX3, fld, d, (unit, "dense"), rng.randrange(1 << 30)),
+                     conjugate(m, random_invertible(fld, rng, d))]
+        if unit == "identity":
+            assert all(0 not in acting_generators(m, n) for n in same_unit)
+        for n in same_unit + [tuple_rep(KX3, fld, rng.randint(0, 4), ("sparse", "dense"),
+                                        rng.randrange(1 << 30))]:
+            full = range(n.dim * m.dim)
+            upper = [r * m.dim + c for r in range(n.dim) for c in range(r, m.dim)]
+            some = sorted(rng.sample(full, len(full) // 2))
+            for support in (full, upper, some):
+                got = intertwiner_system(m, n, support)
+                want = every_pair_system(m, n, support)
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                assert got.entries == want.entries
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

@@ -21,7 +21,8 @@ from support import (all_vectors, dense_add, dense_block_diag, dense_hstack,
                      dense_rows, dense_rref, dense_scale, dense_solve_right,
                      dense_span_basis, dense_sub, dense_submatrix,
                      dense_transpose, dense_vstack, independent_rank,
-                     random_canonical_basis, random_matrix, random_subspace)
+                     random_canonical_basis, random_invertible, random_matrix,
+                     random_subspace)
 
 F2 = GF(2)
 F101 = GF(101)
@@ -49,6 +50,13 @@ def test_from_columns_refuses_a_contradicting_row_count():
 def test_from_rows_refuses_a_contradicting_column_count():
     with pytest.raises(DimensionMismatch):
         Matrix.from_rows(QQ, [[1, 2]], cols=5)
+
+
+def test_random_invertible_of_size_zero_is_the_empty_matrix():
+    # a zero-dimensional module is conjugated by the 0 x 0 matrix, with
+    # no special case in the caller
+    m = random_invertible(GF(5), random.Random(0), 0)
+    assert m == Matrix.zeros(GF(5), 0, 0) and (m.rows, m.cols) == (0, 0)
 
 
 def test_rref_zero():

@@ -13,16 +13,20 @@ from moddeg import (Matrix, Submodule, Subspace, composition_series,
                     simultaneous_triangularize, socle,
                     tc_idempotent_matrices, tc_membership,
                     triangular_to_series, validate)
-from moddeg.errors import VectorMismatch
+from moddeg.algebras import ModuleMap, conjugate
+from moddeg.errors import FieldTooSmall, VectorMismatch
 from moddeg.fields import GF, QQ
-from moddeg.fixtures import (bidir_m, bidir_n, kron_i2, kron_r2_mu,
-                             kronecker_algebra, make_rep, mu_corner_triangular,
-                             nu_prime_triangular, nu_shift_triangular,
-                             regular_module, simple_module,
-                             truncated_polynomial_algebra, y_module)
-from moddeg.linalg import kernel
-from moddeg.series import TriangularRep, triangularize_flags
-from support import random_kronecker, random_nilpotent_rep
+from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
+                             kron_r2_mu, kronecker_algebra, make_rep,
+                             mu_corner_triangular, nu_prime_triangular,
+                             nu_shift_triangular, regular_module,
+                             simple_module, truncated_polynomial_algebra,
+                             y_module)
+from moddeg.linalg import first_combination, kernel, row_from_dense, rref
+from moddeg.series import (TriangularRep, triangularize_flags,
+                           upper_triangular_hom_basis)
+from support import (random_invertible, random_kronecker, random_nilpotent_rep,
+                     random_strict_triangular_nilpotent)
 
 F2 = GF(2)
 KX3 = truncated_polynomial_algebra(3)
@@ -359,3 +363,105 @@ def test_series_isomorphic_against_the_triangular_group(p):
                     assert h.is_upper_triangular()
                     assert all(not GF(p).is_zero(h.entry(k, k)) for k in range(d))
                     assert all(h @ x == y @ h for x, y in zip(a.mats, b.mats))
+
+
+def unflatten_every_map_series_isomorphic(a: TriangularRep, b: TriangularRep,
+                                          exhaustive_limit: int = 1 << 16):
+    """``series_isomorphic`` by the route that unflattens every map: the
+    whole canonical triangular Hom basis as matrices, its d diagonal
+    functionals read with ``entry(j, j)``, the maps at their ``rref``
+    pivots kept, then the same witness search."""
+    basis = upper_triangular_hom_basis(a, b)
+    d = a.dim
+    fld = a.rep.field
+    if d == 0:
+        return ModuleMap(a.rep, b.rep, Matrix.zeros(fld, 0, 0))
+    functionals = Matrix._from_entries(fld, d, len(basis), [
+        row_from_dense([h.entry(j, j) for h in basis]) for j in range(d)])
+    if not all(cols for cols, _ in functionals.entries):
+        return None
+    basis = [basis[c] for c in rref(functionals)[2]]
+    k = len(basis)
+
+    def invertible(acc):
+        return not any(fld.is_zero(acc.entry(j, j)) for j in range(d))
+
+    def moment_curve(t):
+        coeffs, tval = [fld.one], fld.coerce(t)
+        for _ in range(k - 1):
+            coeffs.append(fld.mul(coeffs[-1], tval))
+        return coeffs
+
+    degree = d * (k - 1)
+    if not fld.finite or fld.p > degree:
+        acc = first_combination(basis, invertible,
+                                map(moment_curve, range(degree + 1)))
+    elif fld.p ** k <= exhaustive_limit:
+        acc = first_combination(basis, invertible)
+        if acc is None:
+            return None
+    else:
+        raise FieldTooSmall("exhaustive search disabled")
+    return ModuleMap(a.rep, b.rep, acc)
+
+
+def random_upper_conjugate(tri: TriangularRep, rng) -> TriangularRep:
+    """``tri`` conjugated by a random invertible upper-triangular matrix,
+    so the two are series-isomorphic."""
+    fld, d = tri.rep.field, tri.dim
+    rows = [[fld.sample(rng, 3) if j >= i else fld.zero for j in range(d)]
+            for i in range(d)]
+    for i in range(d):
+        while fld.is_zero(rows[i][i]):
+            rows[i][i] = fld.sample(rng, 3)
+    return TriangularRep(conjugate(tri.rep, Matrix(fld, d, d, rows)))
+
+
+def random_triangular(fld, rng, kind: str, d: int) -> TriangularRep:
+    """A d-dimensional triangular module of one kind: a Jordan module over
+    k[X]/(X^3) in a random basis or k[X]/(X^d) with a random strictly
+    upper-triangular X, or a random Kronecker module, each but the second
+    triangularized along its composition series."""
+    if kind == "jordan":
+        part = []
+        while sum(part) < d:
+            part.append(rng.randint(1, min(3, d - sum(part))))
+        rep = conjugate(jordan_module(fld, 3, tuple(part)),
+                        random_invertible(fld, rng, d))
+    elif kind == "strict":
+        return TriangularRep(random_strict_triangular_nilpotent(fld, rng, d))
+    else:
+        top = rng.randint(1, d - 1)
+        rep = random_kronecker(fld, rng, top, d - top, rng.choice([0.4, 1.0]))
+    return series_to_triangular(composition_series(rep))
+
+
+def series_outcome(decide, a, b, limit):
+    try:
+        w = decide(a, b, limit)
+    except FieldTooSmall:
+        return "FieldTooSmall"
+    return None if w is None else w.mat
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_series_isomorphic_matches_the_route_unflattening_every_map(fld):
+    """Reading the diagonal functionals off the kernel basis and
+    unflattening only the pivot maps gives the same witness, None or
+    FieldTooSmall as unflattening every map of the basis."""
+    rng = random.Random(f"series:{fld}")
+    outcomes = []
+    for kind in ("jordan", "strict", "kronecker"):
+        for _ in range(6):
+            d = rng.randint(2, 6)
+            a = random_triangular(fld, rng, kind, d)
+            for b in (a, random_upper_conjugate(a, rng),
+                      random_triangular(fld, rng, kind, d)):
+                for limit in (1 << 16, 1):
+                    got = series_outcome(series_isomorphic, a, b, limit)
+                    assert got == series_outcome(
+                        unflatten_every_map_series_isomorphic, a, b, limit)
+                    outcomes.append("witness" if isinstance(got, Matrix) else got)
+    assert "witness" in outcomes and None in outcomes
+    if fld.finite and fld.p < 5:
+        assert "FieldTooSmall" in outcomes
