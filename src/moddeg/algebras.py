@@ -11,10 +11,13 @@ One builder, ``intertwiner_equations``, writes the equations
 n_g (H b_j) = H (m_g b_j) of an intertwiner H on a basis b of M.  Every
 full Hom(M, N) is solved on the spin basis (``hom_spin``): H is fixed by
 its values on the t roots from which the generators spin b, so the system
-has t * dim N unknowns.  ``hom_basis`` reads its kernel back as the
-canonical basis, inverting the spin basis to do so, and ``hom_dim``
-needs only the rank.  ``intertwiner_system`` takes the unit vectors, one
-unknown per entry of H, for intertwiners held to a support:
+has t * dim N unknowns.  The spin eliminates its basis B once: its
+tracker rows carry coordinates in B, so each image that lies in the span
+has its coordinates read off its own echelon row.  ``hom_basis`` reads
+the kernel back as the canonical basis through B^-T, which the
+back-substitution of the same rows gives, and ``hom_dim`` needs only the
+rank, with no back-substitution.  ``intertwiner_system`` takes the unit
+vectors, one unknown per entry of H, for intertwiners held to a support:
 ``intertwiner_basis`` unflattens its kernel (the triangular Hom basis of
 ``series``), ``series.series_isomorphic`` reads the kernel's flattened
 vectors and unflattens only the maps it combines,
@@ -379,60 +382,65 @@ class HomSpin:
 
     m is spun from greedy unit vectors e_0, e_1, .. under the generators
     that are not the identity on both sides (``acting_generators``), into
-    the columns b_j of the spin basis B.  An intertwiner H is fixed by
+    the spin basis b_0, b_1, .. of k^m.dim.  An intertwiner H is fixed by
     the images h_k of the roots, stacked in order as the unknowns:
     H b_j = W_j h_k for the root k of b_j, with ``words[j]`` the word W_j
     in the n_g that spun b_j (the identity at a root) and ``places[j]``
     the block of unknowns holding h_k.  ``equations`` are
-    ``intertwiner_equations`` on B with these words and places, for every
-    image m_g b_j that did not become a column; its column count is the
-    number of unknowns.  ``basis`` is B.
+    ``intertwiner_equations`` on the spin basis with these words and
+    places, for every image m_g b_j that did not become a basis vector;
+    its column count is the number of unknowns.  ``tracker`` is the one
+    elimination of the spin basis B: its rows carry coordinates in B
+    (``EchelonTracker`` with width m.dim), and its ``echelon_rows`` are
+    [I | B^-T].
     """
 
     words: tuple
     places: tuple
-    basis: Matrix
+    tracker: EchelonTracker
     equations: Matrix
 
 
 def hom_spin(m: Representation, n: Representation) -> HomSpin:
     """The spin system of Hom(m, n) (see ``HomSpin``).  It never uses the
-    presentation's relations, so it serves any tuples of matrices."""
+    presentation's relations, so it serves any tuples of matrices.
+
+    Vectors are stored rows, and m_g v is the row v times the transpose of
+    m_g, taken once per generator.  The candidate for b_j enters the
+    tracker tagged [v | e_(m.dim+j)]; one that is not kept lies in the
+    span, and the tracker reads its coordinates off what is left of it."""
     gens = acting_generators(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
-    one_n = Matrix.identity(fld, dn)
-    tracker = EchelonTracker(fld)
-    columns, words, places = [], [], []
-    pending = []          # (n_g W_j, j, m_g b_j) for every image already in the span
+    one, one_n = fld.one, Matrix.identity(fld, dn)
+    acts = [(m.mats[g].transpose(), n.mats[g]) for g in gens]
+    tracker = EchelonTracker(fld, dm)
+    vectors, words, places = [], [], []
+    pending = []          # (n_g W_j, j, coordinates of m_g b_j) for images in the span
     nvars = 0
     for i in range(dm):
-        if len(columns) == dm:
+        if len(vectors) == dm:
             break
-        unit = Matrix.unit_vector(fld, dm, i)
-        if not tracker.add(unit.transpose().entries[0]):
+        if not tracker.add(((i, dm + len(vectors)), (one, one))):
             continue
-        j = len(columns)
-        columns.append(unit)
+        j = len(vectors)
+        vectors.append(((i,), (one,)))
         words.append(one_n)
         places.append(range(nvars, nvars + dn))
         nvars += dn
-        while j < len(columns):
-            for g in gens:
-                vec = m.mats[g] @ columns[j]
-                lead = n.mats[g] if words[j] is one_n else n.mats[g] @ words[j]
-                if tracker.add(vec.transpose().entries[0]):
-                    columns.append(vec)
+        while j < len(vectors):
+            row = Matrix._from_entries(fld, 1, dm, (vectors[j],))
+            for mt, ng in acts:
+                cols, vals = (row @ mt).entries[0]
+                lead = ng if words[j] is one_n else ng @ words[j]
+                if tracker.add((cols + (dm + len(vectors),), vals + (one,))):
+                    vectors.append((cols, vals))
                     words.append(lead)
                     places.append(places[j])
                 else:
-                    pending.append((lead, j, vec))
+                    pending.append((lead, j, tracker.coordinates()))
             j += 1
-    basis = hstack(Matrix.zeros(fld, dm, 0), *columns)
-    coords = solve_right(basis, hstack(Matrix.zeros(fld, dm, 0),
-                                       *[vec for _, _, vec in pending])).transpose().entries
-    return HomSpin(tuple(words), tuple(places), basis,
-                   intertwiner_equations(fld, nvars, words, places, [
-                       (lead, j, c) for (lead, j, _), c in zip(pending, coords)]))
+    return HomSpin(tuple(words), tuple(places), tracker,
+                   intertwiner_equations(fld, nvars, words, places, pending))
 
 
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
@@ -444,7 +452,9 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     W_j K[places[j]] holds H b_j for every kernel vector at once.  Stacked
     so that row r * m.dim + j is row r of block j, column v holds H_v B
     flattened, and ``block_diag`` of n.dim copies of B^-T turns it into
-    H_v flattened.  Only this reader of the spin inverts B."""
+    H_v flattened.  B^-T is the tag block of the spin tracker's
+    ``echelon_rows``: the back-substitution finishes the elimination the
+    spin ran, and B is eliminated once."""
     spin = hom_spin(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
     ker = kernel(spin.equations).basis
@@ -455,14 +465,18 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
               for w, place in zip(spin.words, spin.places)]
     spun = Matrix._from_entries(fld, dn * dm, kb, [
         images[j].entries[r] for r in range(dn) for j in range(dm)])
-    maps = block_diag(*[inverse(spin.basis).transpose()] * dn) @ spun
+    inverse_t = Matrix._from_entries(fld, dm, dm, [
+        (tuple([c - dm for c in cols[1:]]), vals[1:])
+        for cols, vals in spin.tracker.echelon_rows()])
+    maps = block_diag(*[inverse_t] * dn) @ spun
     return [ModuleMap(m, n, unflatten(fld, dn, dm, row))
             for row in rref(maps.transpose())[0].entries]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom(m, n): the unknowns of the spin system (``hom_spin``) less
-    its rank, with no inverse of the spin basis."""
+    its rank.  The spin basis is eliminated once, forward only: no
+    back-substitution."""
     equations = hom_spin(m, n).equations
     return equations.cols - equations.rank()
 

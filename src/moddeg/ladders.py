@@ -18,6 +18,7 @@ series lies in the upper-triangular orbit closure of the top series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .errors import (BadParameter, DimensionMismatch,
@@ -252,12 +253,15 @@ def evaluate_family(fam: DeformationFamily, t) -> TriangularRep:
     return member
 
 
+@cache
 def upper_triangular_algebra(base: AlgebraPresentation, d: int) -> AlgebraPresentation:
     """Presentation of the d x d upper-triangular matrix algebra over the
     base algebra.
 
     Generators: one scalar-diagonal lift L_<g> per base generator, the
     diagonal matrix units E<i>_<i>, and the superdiagonal units E<i>_<i+1>.
+    A presentation is frozen, so each (base, d) is built once and shared:
+    ``psi_embed`` reads it on every call.
     """
     lifts = [f"L_{g}" for g in base.generators]
     diag = [f"E{i}_{i}" for i in range(1, d + 1)]

@@ -16,7 +16,12 @@ dicts from column to value: canonical residues over GF(p), and over QQ
 numerators over the row's lcm denominator, reduced fraction-free with the
 content divided out after every step.  Both share one step, which
 touches only the pivot row's entries and only the pivot columns a row
-holds; only the final pivot rows become ``Fraction``s again.
+holds, and one back-substitution; only the final pivot rows become
+``Fraction``s again.  A tracker's rows can carry coordinates: with tag
+columns past a ``width``, a vector of the span reads its coordinates in
+the kept vectors off what is left of it, and back-substituting the kept
+rows reads the inverse transpose of those vectors, so a caller that
+needs both eliminates its basis once.
 
 Each primitive eliminates only as far as its answer needs.
 ``Matrix.rank`` runs the forward pass alone and counts the pivot rows it
@@ -150,11 +155,6 @@ class Matrix:
     def identity(cls, field, n: int) -> "Matrix":
         one = (field.one,)
         return cls._from_entries(field, n, n, [((i,), one) for i in range(n)])
-
-    @classmethod
-    def unit_vector(cls, field, n: int, i: int) -> "Matrix":
-        one = ((0,), (field.one,))
-        return cls._from_entries(field, n, 1, [one if j == i else ((), ()) for j in range(n)])
 
     @property
     def data(self) -> tuple:
@@ -306,7 +306,10 @@ class Matrix:
         (``_insert``): no back-substitution and no ``Fraction`` is built."""
         p = self.field.characteristic
         pivots = {}
-        return sum([_insert(row, pivots, p) for row in self.entries if row[0]])
+        for row in self.entries:
+            if row[0]:
+                _insert(row, pivots, p)
+        return len(pivots)
 
     def is_injective(self) -> bool:
         """Whether the columns are linearly independent."""
@@ -424,19 +427,36 @@ def _reduce(row: dict, pivots: dict, p: int) -> dict:
     return row
 
 
-def _insert(row: tuple, pivots: dict, p: int) -> bool:
-    """Reduce the stored ``row`` by ``pivots``; if anything is left, keep
-    it as the pivot row of its leading column (over GF(p) scaled so that
-    this entry is one) and return True."""
+def _insert(row: tuple, pivots: dict, p: int, width: Optional[int] = None) -> dict:
+    """Reduce the stored ``row`` by ``pivots`` and return what is left, a
+    sparse int row.  If it holds an entry left of column ``width`` (any
+    entry when ``width`` is None), it is kept as the pivot row of its
+    leading column, over GF(p) scaled so that this entry is one."""
     row = _reduce(_int_entries(row, p), pivots, p)
-    if not row:
-        return False
-    c = min(row)
-    if p and row[c] != 1:
-        inv = pow(row[c], -1, p)
-        row = {j: v * inv % p for j, v in row.items()}
-    pivots[c] = row
-    return True
+    if row:
+        c = min(row)
+        if width is None or c < width:
+            if p and row[c] != 1:
+                inv = pow(row[c], -1, p)
+                row = {j: v * inv % p for j, v in row.items()}
+            pivots[c] = row
+    return row
+
+
+def _back_substitute(pivots: dict, p: int) -> list:
+    """The reduced row echelon rows of the span of the pivot rows
+    ``pivots``, as stored rows in increasing pivot order: the pivot rows
+    are cleared in place (``_reduce``) in decreasing pivot order, and each
+    is divided by its leading entry once.  Cleared, they are still pivot
+    rows of the same span."""
+    order = sorted(pivots)
+    done = {}
+    for c in reversed(order):
+        done[c] = _reduce(pivots[c], done, p)
+    out = [row_from_dict(done[c]) for c in order]
+    if not p:
+        out = [(cols, tuple([Fraction(v, vals[0]) for v in vals])) for cols, vals in out]
+    return out
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
@@ -446,10 +466,11 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     sparse int rows (``_int_entries``) with the steps ``EchelonTracker``
     uses too: a forward pass reduces each row of ``m.entries`` by the
     pivot rows found so far and keeps it as a new pivot row if anything
-    is left (``_insert``); back-substitution (``_reduce``) then clears the
-    pivot rows in decreasing pivot order, and each is divided by its
-    leading entry once.  The reduced echelon form of a matrix is unique,
-    so the order in which pivots are found does not change the result.
+    is left (``_insert``); back-substitution (``_back_substitute``) then
+    clears the pivot rows in decreasing pivot order, and each is divided
+    by its leading entry once.  The reduced echelon form of a matrix is
+    unique, so the order in which pivots are found does not change the
+    result.
     """
     field = m.field
     p = field.characteristic
@@ -457,16 +478,10 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     for row in m.entries:
         if row[0]:
             _insert(row, pivots, p)
-    order = sorted(pivots)
-    done = {}
-    for c in reversed(order):
-        done[c] = _reduce(pivots[c], done, p)
-    out = [row_from_dict(done[c]) for c in order]
-    if not p:
-        out = [(cols, tuple([Fraction(v, vals[0]) for v in vals])) for cols, vals in out]
+    out = _back_substitute(pivots, p)
     r = len(out)
     out.extend([((), ())] * (m.rows - r))
-    return Matrix._from_entries(field, m.rows, m.cols, out), r, tuple(order)
+    return Matrix._from_entries(field, m.rows, m.cols, out), r, tuple(sorted(pivots))
 
 
 def canonical_pivot_rows(m: Matrix) -> Optional[list[int]]:
@@ -565,16 +580,49 @@ class EchelonTracker:
     column.  The pivot rows are in echelon form, so reducing a vector by
     them in increasing pivot order, at the columns it holds, leaves zero
     exactly when it lies in their span.
+
+    With a ``width``, the columns from ``width`` on are tags, and a row is
+    kept only when what is left of it has an entry left of ``width``.
+    The rows then carry coordinates: add the candidate for the j-th kept
+    vector b_j as [v | e_(width+j)].  Every pivot row [u | c] has
+    u = sum_l c_l b_l, so a candidate that is not kept leaves
+    [0 | t] with t_j v = -sum_(l<j) t_l b_l, which ``coordinates`` reads.
+    Once the b_j span k^width, the back-substitution ``echelon_rows``
+    gives [I | B^-T] for B = [b_0 .. b_(width-1)], one elimination in all.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, width: Optional[int] = None):
         self.field = field
+        self.width = width
         self.rows: dict[int, dict] = {}
+        self.remainder: dict = {}
 
     def add(self, row: tuple) -> bool:
         """Insert a vector given as a stored row; True if it enlarged the
         span."""
-        return _insert(row, self.rows, self.field.characteristic)
+        kept = len(self.rows)
+        self.remainder = _insert(row, self.rows, self.field.characteristic, self.width)
+        return len(self.rows) > kept
+
+    def coordinates(self) -> tuple:
+        """After an ``add`` of a tagged candidate [v | e_(width+j)] that
+        returned False, the coordinates of v in b_0, .., b_(j-1) as a
+        stored row: v = sum_l (-t_l / t_j) b_l for the tags t left."""
+        rest, width, p = self.remainder, self.width, self.field.characteristic
+        cols = sorted(rest)
+        t = rest[cols.pop()]
+        if p:
+            s = pow(-t, -1, p)
+            vals = [rest[c] * s % p for c in cols]
+        else:
+            vals = [Fraction(-rest[c], t) for c in cols]
+        return tuple([c - width for c in cols]), tuple(vals)
+
+    def echelon_rows(self) -> list:
+        """The reduced row echelon rows of the span, in increasing pivot
+        order, by the back-substitution ``rref`` runs
+        (``_back_substitute``); the pivot rows are cleared in place."""
+        return _back_substitute(self.rows, self.field.characteristic)
 
 
 class Subspace:

@@ -290,6 +290,11 @@ def submodule_point_set(sub) -> frozenset:
     return frozenset(points)
 
 
+def unit_column(fld, n: int, i: int) -> Matrix:
+    """The n x 1 column with a one in row i and zeros elsewhere."""
+    return Matrix.from_columns(fld, [[int(k == i) for k in range(n)]])
+
+
 def random_matrix(fld, rng: random.Random, rows: int, cols: int) -> Matrix:
     return Matrix.from_rows(
         fld, [[fld.sample(rng, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)

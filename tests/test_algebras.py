@@ -22,7 +22,7 @@ from moddeg.fixtures import (jordan_module, kron_i2, kron_regular, kron_s1,
 from moddeg.linalg import block_diag, combination, first_combination
 
 from support import (dense_is_isomorphism, independent_hom_dim, random_invertible,
-                     random_kronecker, random_nilpotent_rep)
+                     random_kronecker, random_nilpotent_rep, unit_column)
 
 F2 = GF(2)
 KX2 = truncated_polynomial_algebra(2)
@@ -160,13 +160,12 @@ def test_image_matches_brute_force_span():
 
 def test_submodule_generated_cases():
     lam = regular_module(QQ, 2)
-    full = submodule_generated(lam, [Matrix.unit_vector(QQ, 2, 0),
-                                     Matrix.unit_vector(QQ, 2, 1)])
+    full = submodule_generated(lam, [unit_column(QQ, 2, 0), unit_column(QQ, 2, 1)])
     assert full.space.dim == full.space.ambient_dim
-    socle_only = submodule_generated(lam, [Matrix.unit_vector(QQ, 2, 1)])
+    socle_only = submodule_generated(lam, [unit_column(QQ, 2, 1)])
     assert socle_only.dim == 1
     i2 = kron_i2(QQ)
-    vertex2 = submodule_generated(i2, [Matrix.unit_vector(QQ, 3, 2)])
+    vertex2 = submodule_generated(i2, [unit_column(QQ, 3, 2)])
     assert vertex2.dim == 1
 
 
@@ -278,6 +277,39 @@ def test_find_isomorphism_spins_once_when_the_hom_basis_holds_a_witness(monkeypa
     witness = find_isomorphism(m, n)
     assert len(spins) == 1
     assert witness.mat.is_injective() and witness.is_intertwiner()
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(101)], ids=repr)
+def test_hom_queries_eliminate_the_spin_basis_once(monkeypatch, fld):
+    """``hom_dim`` and ``hom_basis`` read the coordinates of the spun
+    images and B^-T off the spin's own tracker: neither calls
+    ``solve_right`` or ``inverse``, ``hom_dim`` runs no ``rref`` at all,
+    and ``hom_basis`` runs at most two, for the kernel of the spin system
+    and the canonical form of the maps."""
+    rng = random.Random(21)
+    jordan = jordan_module(fld, 3, (3, 2, 1))
+    pairs = [(jordan, conjugate(jordan, random_invertible(fld, rng, 6))),
+             (simple_module(fld), simple_module(fld)),
+             (random_kronecker(fld, rng, 3, 4), kron_i2(fld))]
+    expected = [[h.mat for h in hom_basis(m, n)] for m, n in pairs]
+    calls = []
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return orig(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    for module in (algebras, linalg):
+        for name in ("solve_right", "inverse", "rref"):
+            counted(module, name)
+    for (m, n), maps in zip(pairs, expected):
+        assert hom_dim(m, n) == len(maps) == independent_hom_dim(m, n)
+        assert calls == []
+        assert [h.mat for h in hom_basis(m, n)] == maps
+        assert set(calls) <= {"rref"} and len(calls) <= 2
+        calls.clear()
 
 
 

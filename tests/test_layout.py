@@ -42,6 +42,19 @@ def test_every_module_level_import_is_used():
     assert found == []
 
 
+def test_no_module_imports_another_modules_private_name():
+    """A name with a leading underscore stays in its own module: the
+    elimination steps of ``linalg`` are reached through ``rref`` and
+    ``EchelonTracker``, never imported."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
 
 def _library_trees() -> tuple[dict, set, set]:
     """The syntax tree of every library module but ``fixtures``, which

@@ -22,7 +22,7 @@ from support import (all_vectors, dense_add, dense_block_diag, dense_hstack,
                      dense_span_basis, dense_sub, dense_submatrix,
                      dense_transpose, dense_vstack, independent_rank,
                      random_canonical_basis, random_invertible, random_matrix,
-                     random_subspace)
+                     random_subspace, unit_column)
 
 F2 = GF(2)
 F101 = GF(101)
@@ -439,6 +439,53 @@ def test_echelon_tracker_agrees_with_independent_rank_on_wide_entries(m, data):
         assert _enlarges(tracker, row_from_dense(probe)) == (grown > len(tracker.rows))
 
 
+def _tagged(fld, column: tuple, tag: int) -> tuple:
+    """The stored row [v | e_tag] of a stored column v."""
+    cols, vals = column
+    return cols + (tag,), vals + (fld.one,)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_tagged_tracker_reads_coordinates_and_the_inverse_transpose(fld, n, data):
+    """Columns b_0, .., b_(k-1) of an invertible B, added as [b_j | e_(n+j)]
+    to a tracker of width n, are all kept.  A vector v = B x of their span,
+    added as [v | e_(n+k)], is not, and ``coordinates`` reads
+    ``solve_right`` of v; once all n columns are in, the tag block of
+    ``echelon_rows`` is ``inverse(B).transpose()`` beside the identity.
+    QQ entries are fractions a/d with d from 2 to 7."""
+    rng = data.draw(st.randoms(use_true_random=False))
+
+    def cell():
+        if rng.random() < 0.3:
+            return 0
+        if fld == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+        return rng.randrange(fld.p)
+    while True:
+        b = Matrix.from_rows(fld, [[cell() for _ in range(n)] for _ in range(n)], cols=n)
+        if b.rank() == n:
+            break
+    columns = b.transpose().entries
+    k = data.draw(st.integers(0, n))
+    part = b.submatrix(range(n), range(k))
+    tracker = EchelonTracker(fld, n)
+    for j in range(k):
+        assert tracker.add(_tagged(fld, columns[j], n + j))
+    for _ in range(3):
+        x = Matrix.from_rows(fld, [[cell()] for _ in range(k)], cols=1)
+        v = part @ x
+        assert not tracker.add(_tagged(fld, v.transpose().entries[0], n + k))
+        assert tracker.coordinates() == solve_right(part, v).transpose().entries[0]
+    for j in range(k, n):
+        assert tracker.add(_tagged(fld, columns[j], n + j))
+    rows = tracker.echelon_rows()
+    assert [(cols[:1], vals[:1]) for cols, vals in rows] == [((c,), (1,)) for c in range(n)]
+    assert Matrix._from_entries(fld, n, n, [
+        (tuple([c - n for c in cols[1:]]), vals[1:]) for cols, vals in rows
+    ]) == inverse(b).transpose()
+
+
 F32003 = GF(32003)
 
 
@@ -752,7 +799,7 @@ def test_empty_shapes_solve_like_the_reference(fld, rows, cols):
         assert Subspace(a) == Subspace.zero(fld, rows)
     rhs = [Matrix.zeros(fld, rows, 1), Matrix.zeros(fld, rows, 2)]
     if rows:
-        rhs.append(Matrix.unit_vector(fld, rows, 1))
+        rhs.append(unit_column(fld, rows, 1))
     assert solve_right(a, rhs[0]) == Matrix.zeros(fld, cols, 1)
     _solved_and_spanned_like_the_reference(a, rhs)
 
