@@ -9,14 +9,18 @@ never symbolically.  Module elements are column vectors and a word
 
 One builder, ``intertwiner_equations``, writes the equations
 n_g (H b_j) = H (m_g b_j) of an intertwiner H on a basis b of M.  Every
-full Hom(M, N) is solved on the spin basis (``hom_spin``): H is fixed by
+full Hom(M, N) is solved on a spin basis (``hom_spin``): H is fixed by
 its values on the t roots from which the generators spin b, so the system
 has t * dim N unknowns.  The spin eliminates its basis B once: its
 tracker rows carry coordinates in B, so each image that lies in the span
-has its coordinates read off its own echelon row.  ``hom_basis`` reads
-the kernel back as the canonical basis through B^-T, which the
-back-substitution of the same rows gives, and ``hom_dim`` needs only the
-rank, with no back-substitution.  ``intertwiner_system`` takes the unit
+has its coordinates read off its own echelon row.  ``hom_dim`` spins M
+and needs only the rank, with no back-substitution.  ``hom_basis`` spins
+the transposed pair (N^T, M^T), whose unknowns are rows of H, or M when
+every generator of N is lower triangular, with its unknowns renumbered
+row-major; either way the canonical basis of the kernel is the reduced
+echelon form of Hom at its unknowns, and each kernel vector lifts to one
+basis map through B^-T, which the back-substitution of the tracker rows
+gives, with no further elimination.  ``intertwiner_system`` takes the unit
 vectors, one unknown per entry of H, for intertwiners held to a support:
 ``intertwiner_basis`` unflattens its kernel (the triangular Hom basis of
 ``series``), ``series.series_isomorphic`` reads the kernel's flattened
@@ -41,7 +45,7 @@ from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      InternalInvariantViolation, NotSubmodule, Undecided)
 from .linalg import (EchelonTracker, Matrix, Subspace, block_diag,
                      first_combination, hstack, image, inverse, kernel,
-                     row_from_dict, rref, solve_right)
+                     row_from_dict, solve_right, vstack)
 
 # A relation is a sum of terms; each term is (integer coefficient, word),
 # a word being a nonempty tuple of generator indices.  Integer coefficients
@@ -392,7 +396,8 @@ class HomSpin:
     its column count is the number of unknowns.  ``tracker`` is the one
     elimination of the spin basis B: its rows carry coordinates in B
     (``EchelonTracker`` with width m.dim), and its ``echelon_rows`` are
-    [I | B^-T].
+    [I | B^-T].  ``hom_basis`` builds it for the transposed pair
+    (n^T, m^T) unless every generator of n is lower triangular.
     """
 
     words: tuple
@@ -408,13 +413,18 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
     Vectors are stored rows, and m_g v is the row v times the transpose of
     m_g, taken once per generator.  The candidate for b_j enters the
     tracker tagged [v | e_(m.dim+j)]; one that is not kept lies in the
-    span, and the tracker reads its coordinates off what is left of it."""
+    span, and the tracker reads its coordinates off what is left of it.
+    Each word is a product taken once per generator path: the lead
+    n_g W_j of an image is keyed by g and the path of b_j, so roots that
+    spin along the same paths, as the roots of a Jordan-type module do
+    along the powers of X, share their products."""
     gens = acting_generators(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
-    one, one_n = fld.one, Matrix.identity(fld, dn)
-    acts = [(m.mats[g].transpose(), n.mats[g]) for g in gens]
+    one = fld.one
+    acts = [(g, m.mats[g].transpose(), n.mats[g]) for g in gens]
+    leads = {(): Matrix.identity(fld, dn)}    # generator path -> its word in the n_g
     tracker = EchelonTracker(fld, dm)
-    vectors, words, places = [], [], []
+    vectors, paths, places = [], [], []
     pending = []          # (n_g W_j, j, coordinates of m_g b_j) for images in the span
     nvars = 0
     for i in range(dm):
@@ -424,23 +434,34 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
             continue
         j = len(vectors)
         vectors.append(((i,), (one,)))
-        words.append(one_n)
+        paths.append(())
         places.append(range(nvars, nvars + dn))
         nvars += dn
         while j < len(vectors):
             row = Matrix._from_entries(fld, 1, dm, (vectors[j],))
-            for mt, ng in acts:
+            for g, mt, ng in acts:
                 cols, vals = (row @ mt).entries[0]
-                lead = ng if words[j] is one_n else ng @ words[j]
+                path = (g, *paths[j])
+                if path not in leads:
+                    leads[path] = ng @ leads[paths[j]] if paths[j] else ng
                 if tracker.add((cols + (dm + len(vectors),), vals + (one,))):
                     vectors.append((cols, vals))
-                    words.append(lead)
+                    paths.append(path)
                     places.append(places[j])
                 else:
-                    pending.append((lead, j, tracker.coordinates()))
+                    pending.append((leads[path], j, tracker.coordinates()))
             j += 1
+    words = [leads[path] for path in paths]
     return HomSpin(tuple(words), tuple(places), tracker,
                    intertwiner_equations(fld, nvars, words, places, pending))
+
+
+def transposed(rep: Representation) -> Representation:
+    """The tuple of the transposed generator matrices.  Its intertwiners
+    into ``transposed(m)`` are the transposes H^T of those of Hom(m, rep);
+    it need not satisfy the presentation's relations."""
+    return Representation(rep.algebra, rep.field, rep.dim,
+                          tuple(g.transpose() for g in rep.mats))
 
 
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
@@ -448,29 +469,60 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     the reduced row echelon form of the row-major flattened maps, which is
     unique, so the output is deterministic.
 
-    For the kernel basis K of the spin system (``hom_spin``), the block
-    W_j K[places[j]] holds H b_j for every kernel vector at once.  Stacked
-    so that row r * m.dim + j is row r of block j, column v holds H_v B
-    flattened, and ``block_diag`` of n.dim copies of B^-T turns it into
-    H_v flattened.  B^-T is the tag block of the spin tracker's
+    It is the kernel basis of a spin system (``hom_spin``) whose unknowns
+    are entries of H numbered in row-major order, lifted with no further
+    elimination.  Mostly the transposed pair (n^T, m^T) is spun: H^T is
+    fixed on the greedy roots r_0 < r_1 < .. of the spin of n^T, so the
+    unknowns are the rows r_k of H, unknown k * m.dim + c being H[r_k][c].
+    A row r that is not a root has e_r in the span of the spin of the
+    roots before r, so row r of every H is a function of those rows: the
+    leading row-major entry of every nonzero H lies in a root row.  When
+    every generator of n is lower triangular, every row would be a root
+    (the spin of n^T keeps n.dim roots exactly then), so m and n are spun
+    as in ``hom_dim``, and the unknown H[r][root_k] is renumbered r * t + k
+    for t roots.  Here a column c that is not a root has H e_c a sum of
+    words in the n_g, all lower triangular, times columns of H at roots
+    before c, so in the first nonzero row of H the first nonzero entry
+    lies in a root column.  Either way the unknowns hold every leading
+    position in row-major order, so the kernel's canonical basis is the
+    reduced echelon form read at them, and each kernel vector lifts to
+    one basis map.
+
+    The lift: let G be H^T when n^T was spun and H otherwise, B the spin
+    basis and K the kernel basis.  The block W_j K[places[j]] holds G b_j
+    for every kernel vector at once; stacked, row j * w + a holds entry a
+    of G b_j, for w the length of each h_k.  Since G^T = B^-T (G B)^T,
+    the Kronecker product of B^-T with the w x w identity turns each
+    column into G^T flattened row-major: H itself when n^T was spun, its
+    transpose otherwise.  B^-T is the tag block of the spin tracker's
     ``echelon_rows``: the back-substitution finishes the elimination the
     spin ran, and B is eliminated once."""
-    spin = hom_spin(m, n)
     fld, dm, dn = m.field, m.dim, n.dim
-    ker = kernel(spin.equations).basis
+    direct = all(g.is_lower_triangular() for g in n.mats)
+    spin = hom_spin(m, n) if direct else hom_spin(transposed(n), transposed(m))
+    s, w = (dm, dn) if direct else (dn, dm)
+    equations = spin.equations
+    if direct:
+        # unknown k * dn + r, the entry H[r][root_k], becomes r * t + k
+        t = equations.cols // max(dn, 1)
+        order = [r * t + k for k in range(t) for r in range(dn)]
+        equations = equations.submatrix(range(equations.rows), [
+            k * dn + r for r in range(dn) for k in range(t)])
+    ker = kernel(equations).basis
     kb = ker.cols
     if not kb:
         return []
-    images = [w @ ker.submatrix(place, range(kb))
-              for w, place in zip(spin.words, spin.places)]
-    spun = Matrix._from_entries(fld, dn * dm, kb, [
-        images[j].entries[r] for r in range(dn) for j in range(dm)])
-    inverse_t = Matrix._from_entries(fld, dm, dm, [
-        (tuple([c - dm for c in cols[1:]]), vals[1:])
-        for cols, vals in spin.tracker.echelon_rows()])
-    maps = block_diag(*[inverse_t] * dn) @ spun
-    return [ModuleMap(m, n, unflatten(fld, dn, dm, row))
-            for row in rref(maps.transpose())[0].entries]
+    if direct:
+        ker = ker.submatrix(order, range(kb))
+    spun = vstack(*[word @ ker.submatrix(place, range(kb))
+                    for word, place in zip(spin.words, spin.places)])
+    # B^-T (x) I_w: row b * w + a holds row b of B^-T at the columns j * w + a
+    lift = Matrix._from_entries(fld, s * w, s * w, [
+        (tuple([(c - s) * w + a for c in cols[1:]]), vals[1:])
+        for cols, vals in spin.tracker.echelon_rows() for a in range(w)])
+    maps = (lift @ spun).transpose()
+    return [ModuleMap(m, n, g.transpose() if direct else g)
+            for g in (unflatten(fld, s, w, row) for row in maps.entries)]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:

@@ -289,6 +289,9 @@ class Matrix:
     def is_upper_triangular(self) -> bool:
         return all(not cols or cols[0] >= i for i, (cols, _) in enumerate(self.entries))
 
+    def is_lower_triangular(self) -> bool:
+        return all(not cols or cols[-1] <= i for i, (cols, _) in enumerate(self.entries))
+
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from moddeg import Representation, direct_sum, hom_basis, hom_dim, series_isomorphic
 from moddeg.algebras import (acting_generators, conjugate, hom_spin,
                              intertwiner_basis, intertwiner_equations,
-                             intertwiner_system)
+                             intertwiner_system, transposed)
 from moddeg.errors import AlgebraMismatch
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
@@ -27,17 +27,20 @@ from moddeg.linalg import Matrix
 from moddeg.series import TriangularRep, upper_triangular_hom_basis
 
 from support import (dense_intertwiner_basis, independent_hom_dim,
-                     random_invertible)
+                     random_invertible, random_kronecker)
 
 KX3 = truncated_polynomial_algebra(3)
 KRON = kronecker_algebra()
 FIELDS = {"QQ": QQ, "GF(2)": GF(2), "GF(101)": GF(101)}
-KINDS = ("identity", "idempotent", "zero", "sparse", "dense")
+ORIENTATION_FIELDS = {**FIELDS, "GF(3)": GF(3)}
+KINDS = ("identity", "idempotent", "zero", "sparse", "dense", "lower", "upper")
 
 
 def generator_matrix(fld, d: int, kind: str, rng) -> Matrix:
     """A d x d matrix of one kind: the identity, a diagonal idempotent, zero,
-    or random entries with about a third or all of them nonzero."""
+    random entries with about a third or all of them nonzero, or random
+    entries with about two thirds of those on and below (lower) or on and
+    above (upper) the diagonal nonzero."""
     def cell():
         if fld == QQ:
             return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
@@ -47,6 +50,10 @@ def generator_matrix(fld, d: int, kind: str, rng) -> Matrix:
     elif kind == "idempotent":
         diag = [rng.randrange(2) for _ in range(d)]
         rows = [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    elif kind in ("lower", "upper"):
+        rows = [[cell() if (j <= i if kind == "lower" else j >= i)
+                 and rng.random() < 2 / 3 else 0 for j in range(d)]
+                for i in range(d)]
     else:
         density = {"zero": 0, "sparse": 0.3, "dense": 1}[kind]
         rows = [[cell() if rng.random() < density else 0 for _ in range(d)]
@@ -193,6 +200,59 @@ def test_spin_hom_with_three_or_more_roots_matches_full_system(name):
             assert hom_spin(m, m).equations.cols // m.dim >= 3
             for n in pool:
                 assert_spin_matches_full_system(m, n)
+
+
+def lower_triangular(rep) -> bool:
+    return all(g.is_lower_triangular() for g in rep.mats)
+
+
+@pytest.mark.parametrize("name", sorted(ORIENTATION_FIELDS))
+def test_hom_basis_matches_the_dense_reference_in_both_orientations(name):
+    """``hom_basis`` spins the transposed pair unless every generator of
+    the target is lower triangular.  Conjugated Jordan targets take the
+    transposed spin, Kronecker targets with the source vertex first the
+    direct one, and a zero-dimensional side either; every basis equals
+    the dense reference."""
+    fld = ORIENTATION_FIELDS[name]
+    rng = random.Random(f"orientations:{name}")
+    jordan = [conjugate(jordan_module(fld, 3, part), random_invertible(fld, rng, sum(part)))
+              for part in [(3, 1), (2, 2, 1), (3, 2, 1)]]
+    kron = [random_kronecker(fld, rng, a, b, density)
+            for a, b, density in [(2, 3, 1.0), (3, 2, 0.5), (3, 3, 0.7)]]
+    kron.append(conjugate(kron[0], random_invertible(fld, rng, 5)))
+    zero = [jordan_module(fld, 3, ()), random_kronecker(fld, rng, 0, 0)]
+    assert not any(lower_triangular(n) for n in jordan + kron[3:])
+    assert all(lower_triangular(n) for n in kron[:3] + zero)
+    orientations = set()
+    for pool in (jordan, kron, [jordan[0], zero[0]], [kron[0], zero[1]]):
+        for m in pool:
+            for n in pool:
+                assert_spin_matches_full_system(m, n)
+                orientations.add(lower_triangular(n))
+    assert orientations == {False, True}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_transposed_spin_keeps_every_root_exactly_on_lower_triangular_targets(name):
+    """The spin of n^T from greedy unit vectors keeps n.dim roots, one
+    unknown row of H each, exactly when every generator of n is lower
+    triangular: the spans of e_0 .. e_i are then all invariant under
+    the upper-triangular n_g^T."""
+    fld = FIELDS[name]
+    rng = random.Random(f"roots:{name}")
+    seen = set()
+    for alg in (KX3, KRON):
+        for _ in range(40):
+            d = rng.randint(1, 5)
+            n = tuple_rep(alg, fld, d, [rng.choice(KINDS) for _ in alg.generators],
+                          rng.randrange(1 << 30))
+            m = tuple_rep(alg, fld, rng.randint(1, 4),
+                          [rng.choice(KINDS) for _ in alg.generators],
+                          rng.randrange(1 << 30))
+            roots = hom_spin(transposed(n), transposed(m)).equations.cols // m.dim
+            assert (roots == d) == lower_triangular(n)
+            seen.add(roots == d)
+    assert seen == {False, True}
 
 
 def test_spin_system_of_a_conjugated_jordan_module_has_t_dim_n_unknowns():
