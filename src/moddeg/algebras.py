@@ -19,17 +19,16 @@ the transposed pair (N^T, M^T), whose unknowns are rows of H, or M when
 every generator of N is lower triangular, with its unknowns renumbered
 row-major; either way the canonical basis of the kernel is the reduced
 echelon form of Hom at its unknowns, and each kernel vector lifts to one
-basis map through B^-T, which the back-substitution of the tracker rows
-gives, with no further elimination.  ``intertwiner_system`` takes the unit
-vectors, one unknown per entry of H, for intertwiners held to a support:
-``intertwiner_basis`` unflattens its kernel (the triangular Hom basis of
-``series``), ``series.series_isomorphic`` reads the kernel's flattened
-vectors and unflattens only the maps it combines,
-``ladders.orbit_dim_ud`` needs only its rank, and with full support its
-rows hold the certificate lift of ``degeneration`` to Hom.  Both bases
-write no equations for a generator that is the identity on both sides
-(``acting_generators``), such as the unit of k[X]/(X^n): each of them
-would read H v = H v.
+basis map through B^-T, whose row r the same tracker reads as the
+coordinates of e_r in B, with no further elimination.
+``intertwiner_system`` takes the unit vectors, one unknown per entry of
+H, for intertwiners held to a support: ``series`` unflattens its kernel
+into the triangular Hom basis, or reads the kernel's flattened vectors
+and unflattens only the maps it combines, ``ladders.orbit_dim_ud`` needs
+only its rank, and with full support its rows hold the certificate lift
+of ``degeneration`` to Hom.  Both bases write no equations for a
+generator that is the identity on both sides (``acting_generators``),
+such as the unit of k[X]/(X^n): each of them would read H v = H v.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ from typing import Optional, Sequence
 
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      InternalInvariantViolation, NotSubmodule, Undecided)
-from .linalg import (EchelonTracker, Matrix, Subspace, block_diag,
-                     first_combination, hstack, image, inverse, kernel,
-                     row_from_dict, solve_right, vstack)
+from .linalg import (ENUMERATION_LIMIT, EchelonTracker, Matrix, Subspace,
+                     block_diag, first_combination, hstack, image, inverse,
+                     kernel, row_from_dict, solve_right, vstack)
 
 # A relation is a sum of terms; each term is (integer coefficient, word),
 # a word being a nonempty tuple of generator indices.  Integer coefficients
@@ -158,12 +157,6 @@ class Report:
         return {"ok": self.ok,
                 "items": [{"name": it.name, "ok": it.ok, "detail": it.detail}
                           for it in self.items]}
-
-    def __str__(self):
-        lines = [f"[{'ok' if it.ok else 'FAIL'}] {it.name}"
-                 + (f": {it.detail}" if it.detail else "")
-                 for it in self.items]
-        return "\n".join(lines)
 
 
 def evaluate_word(rep: Representation, word: Sequence[int]) -> Matrix:
@@ -372,14 +365,6 @@ def intertwiner_system(m: Representation, n: Representation,
                                  [unknown[j::dm] for j in range(dm)], pending)
 
 
-def intertwiner_basis(m: Representation, n: Representation,
-                      support: Sequence[int]) -> list[Matrix]:
-    """Canonical basis of the intertwiners H: m -> n held to ``support``:
-    the kernel of ``intertwiner_system``, unflattened."""
-    return [unflatten(m.field, n.dim, m.dim, vec, support)
-            for vec in kernel(intertwiner_system(m, n, support)).basis.transpose().entries]
-
-
 @dataclass(frozen=True)
 class HomSpin:
     """The intertwiner equations of m -> n in the images of m's spin roots.
@@ -395,8 +380,8 @@ class HomSpin:
     places, for every image m_g b_j that did not become a basis vector;
     its column count is the number of unknowns.  ``tracker`` is the one
     elimination of the spin basis B: its rows carry coordinates in B
-    (``EchelonTracker`` with width m.dim), and its ``echelon_rows`` are
-    [I | B^-T].  ``hom_basis`` builds it for the transposed pair
+    (``EchelonTracker`` with width m.dim), those of e_r being row r of
+    B^-T.  ``hom_basis`` builds it for the transposed pair
     (n^T, m^T) unless every generator of n is lower triangular.
     """
 
@@ -494,9 +479,9 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     of G b_j, for w the length of each h_k.  Since G^T = B^-T (G B)^T,
     the Kronecker product of B^-T with the w x w identity turns each
     column into G^T flattened row-major: H itself when n^T was spun, its
-    transpose otherwise.  B^-T is the tag block of the spin tracker's
-    ``echelon_rows``: the back-substitution finishes the elimination the
-    spin ran, and B is eliminated once."""
+    transpose otherwise.  Row r of B^-T holds the coordinates of e_r in
+    B, which the spin tracker reads as for any vector of its span, and B
+    is eliminated once."""
     fld, dm, dn = m.field, m.dim, n.dim
     direct = all(g.is_lower_triangular() for g in n.mats)
     spin = hom_spin(m, n) if direct else hom_spin(transposed(n), transposed(m))
@@ -516,10 +501,15 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         ker = ker.submatrix(order, range(kb))
     spun = vstack(*[word @ ker.submatrix(place, range(kb))
                     for word, place in zip(spin.words, spin.places)])
-    # B^-T (x) I_w: row b * w + a holds row b of B^-T at the columns j * w + a
-    lift = Matrix._from_entries(fld, s * w, s * w, [
-        (tuple([(c - s) * w + a for c in cols[1:]]), vals[1:])
-        for cols, vals in spin.tracker.echelon_rows() for a in range(w)])
+    # B^-T (x) I_w: row b * w + a holds row b of B^-T, the coordinates of
+    # e_b in B, at the columns j * w + a
+    tracker, one = spin.tracker, fld.one
+    rows = []
+    for b in range(s):
+        tracker.add(((b, 2 * s), (one, one)))
+        cols, vals = tracker.coordinates()
+        rows += [(tuple([j * w + a for j in cols]), vals) for a in range(w)]
+    lift = Matrix._from_entries(fld, s * w, s * w, rows)
     maps = (lift @ spun).transpose()
     return [ModuleMap(m, n, g.transpose() if direct else g)
             for g in (unflatten(fld, s, w, row) for row in maps.entries)]
@@ -650,7 +640,7 @@ def find_isomorphism(m: Representation, n: Representation, seed: int = 0,
     k = len(basis)
     mats = [h.mat for h in basis]
     fld = m.field
-    exhaustive = fld.finite and k <= 8 and fld.p ** k <= 1 << 16
+    exhaustive = fld.finite and k <= 8 and fld.p ** k <= ENUMERATION_LIMIT
     mat = trials = None
     if not exhaustive:
         rng = random.Random(seed)

@@ -93,7 +93,8 @@ class VerificationFailed(ModdegError):
 
 
 class TooLarge(ModdegError):
-    """An enumeration would exceed its configured size guard."""
+    """An enumeration would exceed its size bound
+    (``linalg.ENUMERATION_LIMIT``) or has no finite field to run over."""
 
 
 class ParseError(ModdegError):

@@ -16,12 +16,12 @@ dicts from column to value: canonical residues over GF(p), and over QQ
 numerators over the row's lcm denominator, reduced fraction-free with the
 content divided out after every step.  Both share one step, which
 touches only the pivot row's entries and only the pivot columns a row
-holds, and one back-substitution; only the final pivot rows become
-``Fraction``s again.  A tracker's rows can carry coordinates: with tag
-columns past a ``width``, a vector of the span reads its coordinates in
-the kept vectors off what is left of it, and back-substituting the kept
-rows reads the inverse transpose of those vectors, so a caller that
-needs both eliminates its basis once.
+holds; ``rref`` alone back-substitutes, and only its final pivot rows
+become ``Fraction``s again.  A tracker's rows can carry coordinates: with
+tag columns past a ``width``, a vector of the span reads its coordinates
+in the kept vectors off what is left of it.  Once the kept vectors B span
+everything, the coordinates of the unit vector e_r are row r of the
+inverse transpose of B, so a caller that needs both eliminates B once.
 
 Each primitive eliminates only as far as its answer needs.
 ``Matrix.rank`` runs the forward pass alone and counts the pivot rows it
@@ -446,22 +446,6 @@ def _insert(row: tuple, pivots: dict, p: int, width: Optional[int] = None) -> di
     return row
 
 
-def _back_substitute(pivots: dict, p: int) -> list:
-    """The reduced row echelon rows of the span of the pivot rows
-    ``pivots``, as stored rows in increasing pivot order: the pivot rows
-    are cleared in place (``_reduce``) in decreasing pivot order, and each
-    is divided by its leading entry once.  Cleared, they are still pivot
-    rows of the same span."""
-    order = sorted(pivots)
-    done = {}
-    for c in reversed(order):
-        done[c] = _reduce(pivots[c], done, p)
-    out = [row_from_dict(done[c]) for c in order]
-    if not p:
-        out = [(cols, tuple([Fraction(v, vals[0]) for v in vals])) for cols, vals in out]
-    return out
-
-
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form of ``m``.
 
@@ -469,11 +453,11 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     sparse int rows (``_int_entries``) with the steps ``EchelonTracker``
     uses too: a forward pass reduces each row of ``m.entries`` by the
     pivot rows found so far and keeps it as a new pivot row if anything
-    is left (``_insert``); back-substitution (``_back_substitute``) then
-    clears the pivot rows in decreasing pivot order, and each is divided
-    by its leading entry once.  The reduced echelon form of a matrix is
-    unique, so the order in which pivots are found does not change the
-    result.
+    is left (``_insert``); back-substitution then clears each pivot row
+    by the ones right of it (``_reduce``), in decreasing pivot order, and
+    divides it by its leading entry once.  The reduced echelon form of a
+    matrix is unique, so the order in which pivots are found does not
+    change the result.
     """
     field = m.field
     p = field.characteristic
@@ -481,7 +465,13 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     for row in m.entries:
         if row[0]:
             _insert(row, pivots, p)
-    out = _back_substitute(pivots, p)
+    order = sorted(pivots)
+    done = {}
+    for c in reversed(order):
+        done[c] = _reduce(pivots[c], done, p)
+    out = [row_from_dict(done[c]) for c in order]
+    if not p:
+        out = [(cols, tuple([Fraction(v, vals[0]) for v in vals])) for cols, vals in out]
     r = len(out)
     out.extend([((), ())] * (m.rows - r))
     return Matrix._from_entries(field, m.rows, m.cols, out), r, tuple(sorted(pivots))
@@ -558,6 +548,12 @@ def combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
     return acc
 
 
+# The most points an exhaustive search over a finite field may visit:
+# submodule enumeration, and the witness searches of ``find_isomorphism``
+# and ``series_isomorphic`` when no bounded scan applies.
+ENUMERATION_LIMIT = 1 << 16
+
+
 def first_combination(mats: Sequence[Matrix], test: Callable[[Matrix], bool],
                       points: Optional[Iterable[Sequence]] = None
                       ) -> Optional[Matrix]:
@@ -590,8 +586,9 @@ class EchelonTracker:
     vector b_j as [v | e_(width+j)].  Every pivot row [u | c] has
     u = sum_l c_l b_l, so a candidate that is not kept leaves
     [0 | t] with t_j v = -sum_(l<j) t_l b_l, which ``coordinates`` reads.
-    Once the b_j span k^width, the back-substitution ``echelon_rows``
-    gives [I | B^-T] for B = [b_0 .. b_(width-1)], one elimination in all.
+    Once the b_j span k^width, the unit vector e_r added as
+    [e_r | e_(2 width)] reads row r of B^-T for B = [b_0 .. b_(width-1)],
+    and the pivot rows stay as they are: one elimination in all.
     """
 
     def __init__(self, field, width: Optional[int] = None):
@@ -620,12 +617,6 @@ class EchelonTracker:
         else:
             vals = [Fraction(-rest[c], t) for c in cols]
         return tuple([c - width for c in cols]), tuple(vals)
-
-    def echelon_rows(self) -> list:
-        """The reduced row echelon rows of the span, in increasing pivot
-        order, by the back-substitution ``rref`` runs
-        (``_back_substitute``); the pivot rows are cleared in place."""
-        return _back_substitute(self.rows, self.field.characteristic)
 
 
 class Subspace:

@@ -7,25 +7,23 @@ from itertools import combinations, product
 
 from .errors import AlgebraMismatch, DimensionMismatch, TooLarge
 from .algebras import Representation, Submodule
-from .linalg import Matrix, Subspace
-
-ENUM_GUARD = 1 << 16
+from .linalg import ENUMERATION_LIMIT, Matrix, Subspace
 
 
-def enum_submodules(rep: Representation, guard: int = ENUM_GUARD) -> list[Submodule]:
+def enum_submodules(rep: Representation) -> list[Submodule]:
     """All generator-invariant subspaces, by enumerating echelon bases.
 
     Exhaustive and deterministic; requires a prime field with
-    p^dim <= guard.  Every reduced-row-echelon matrix over F_p is visited
-    once, so each subspace appears exactly once and already carries its
-    canonical basis.
+    p^dim <= ``ENUMERATION_LIMIT``.  Every reduced-row-echelon matrix over
+    F_p is visited once, so each subspace appears exactly once and already
+    carries its canonical basis.
     """
     fld = rep.field
     if not getattr(fld, "finite", False):
         raise TooLarge("submodule enumeration needs a finite field")
     d = rep.dim
-    if fld.p ** d > guard:
-        raise TooLarge(f"{fld.p}^{d} exceeds the enumeration guard {guard}")
+    if fld.p ** d > ENUMERATION_LIMIT:
+        raise TooLarge(f"{fld.p}^{d} exceeds the enumeration guard {ENUMERATION_LIMIT}")
 
     out = [Submodule(rep, Subspace.zero(fld, d))]
     for k in range(1, d + 1):

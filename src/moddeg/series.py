@@ -19,10 +19,10 @@ from .errors import (DimensionMismatch, FieldTooSmall,
                      SimpleNotOneDimensional, TriangularityViolated,
                      VectorMismatch, VerificationFailed)
 from .algebras import (ModuleMap, Representation, Submodule, conjugate,
-                       intertwiner_basis, intertwiner_system,
-                       quotient_by_subspace, sub_representation, unflatten)
-from .linalg import (Matrix, Subspace, first_combination, hstack, image, kernel,
-                     rref, vstack)
+                       intertwiner_system, quotient_by_subspace,
+                       sub_representation, unflatten)
+from .linalg import (ENUMERATION_LIMIT, Matrix, Subspace, first_combination,
+                     hstack, image, kernel, rref, vstack)
 
 
 def socle(rep: Representation) -> Submodule:
@@ -323,12 +323,14 @@ def upper_triangular_support(a: TriangularRep, b: TriangularRep) -> list[int]:
 
 
 def upper_triangular_hom_basis(a: TriangularRep, b: TriangularRep) -> list[Matrix]:
-    """Canonical basis of the space of upper-triangular intertwiners."""
-    return intertwiner_basis(a.rep, b.rep, upper_triangular_support(a, b))
+    """Canonical basis of the space of upper-triangular intertwiners: the
+    kernel of the triangular system (``intertwiner_system``), unflattened."""
+    support = upper_triangular_support(a, b)
+    return [unflatten(a.rep.field, b.dim, a.dim, vec, support) for vec in
+            kernel(intertwiner_system(a.rep, b.rep, support)).basis.transpose().entries]
 
 
-def series_isomorphic(a: TriangularRep, b: TriangularRep,
-                      exhaustive_limit: int = 1 << 16) -> Optional[ModuleMap]:
+def series_isomorphic(a: TriangularRep, b: TriangularRep) -> Optional[ModuleMap]:
     """Decide whether two triangular representations are conjugate under
     invertible upper-triangular matrices; returns a verified witness or
     None.
@@ -376,7 +378,7 @@ def series_isomorphic(a: TriangularRep, b: TriangularRep,
                                 map(moment_curve, range(degree + 1)))
         if acc is None:
             raise InternalInvariantViolation("Vandermonde scan failed unexpectedly")
-    elif fld.p ** k <= exhaustive_limit:
+    elif fld.p ** k <= ENUMERATION_LIMIT:
         acc = first_combination(basis, invertible)
         if acc is None:
             return None

@@ -15,10 +15,10 @@ from moddeg import algebras, linalg
 from moddeg.algebras import conjugate, hom_spin
 from moddeg.errors import AlgebraMismatch, Undecided
 from moddeg.fields import GF, QQ
-from moddeg.fixtures import (jordan_module, kron_i2, kron_regular, kron_s1,
-                             kron_s2, kron_dtr_s1, make_rep, regular_module,
-                             simple_module, truncated_polynomial_algebra,
-                             y_module)
+from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
+                             kron_regular, kron_s1, kron_s2, kron_dtr_s1,
+                             make_rep, regular_module, simple_module,
+                             truncated_polynomial_algebra, y_module)
 from moddeg.linalg import block_diag, combination, first_combination
 
 from support import (dense_is_isomorphism, independent_hom_dim, random_invertible,
@@ -259,6 +259,25 @@ def test_undecided_is_distinguished_from_false():
     with pytest.raises(Undecided):
         find_isomorphism(s2, s2, max_trials=0)
     assert find_isomorphism(s2, s2) is not None
+
+
+@pytest.mark.parametrize("fld", [F2, GF(3)], ids=str)
+def test_find_isomorphism_exhaustive_no_over_small_fields(fld):
+    # Hom(m, n), End m and End n are all one-dimensional, so neither
+    # shortcut proves "no": the exhaustive search of the p combinations does
+    m, n = bidir_m(fld), bidir_n(fld)
+    assert hom_dim(m, n) == hom_dim(m, m) == hom_dim(n, n) == 1
+    assert find_isomorphism(m, n) is None
+    every_matrix = [[list(cells[:2]), list(cells[2:])]
+                    for cells in product(range(fld.p), repeat=4)]
+    assert not any(dense_is_isomorphism(m, n, h) for h in every_matrix)
+
+
+def test_find_isomorphism_undecided_over_qq_at_the_default_budget():
+    # the same pair over QQ: no exhaustive search, and no random trial
+    # finds an invertible multiple of the one non-invertible Hom map
+    with pytest.raises(Undecided):
+        find_isomorphism(bidir_m(QQ), bidir_n(QQ))
 
 
 def test_find_isomorphism_spins_once_when_the_hom_basis_holds_a_witness(monkeypatch):

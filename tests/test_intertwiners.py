@@ -1,9 +1,9 @@
 """The intertwiner solvers, cross-checked against independent oracles:
-the spin system behind ``hom_dim`` and ``hom_basis`` and the supported
-system behind ``intertwiner_basis`` against the dense Kronecker-product
-reference in ``support``, brute-force counts of upper-triangular
-intertwiners over tiny prime fields, and the Kronecker-product rank in
-``support``."""
+the spin system behind ``hom_dim`` and ``hom_basis`` and the kernel of
+the supported system ``intertwiner_system`` against the dense
+Kronecker-product reference in ``support``, brute-force counts of
+upper-triangular intertwiners over tiny prime fields, and the
+Kronecker-product rank in ``support``."""
 
 import random
 from fractions import Fraction
@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from moddeg import Representation, direct_sum, hom_basis, hom_dim, series_isomorphic
 from moddeg.algebras import (acting_generators, conjugate, hom_spin,
-                             intertwiner_basis, intertwiner_equations,
-                             intertwiner_system, transposed)
+                             intertwiner_equations, intertwiner_system,
+                             transposed, unflatten)
 from moddeg.errors import AlgebraMismatch
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
@@ -23,7 +23,7 @@ from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
                              kronecker_algebra, make_rep,
                              mu_corner_triangular, simple_module,
                              truncated_polynomial_algebra)
-from moddeg.linalg import Matrix
+from moddeg.linalg import Matrix, kernel
 from moddeg.series import TriangularRep, upper_triangular_hom_basis
 
 from support import (dense_intertwiner_basis, independent_hom_dim,
@@ -134,14 +134,21 @@ def supported_pairs(draw):
     return m, n, support
 
 
+def supported_basis(m, n, support) -> list[Matrix]:
+    """The kernel of ``intertwiner_system``, unflattened: the canonical
+    basis of the intertwiners m -> n held to ``support``."""
+    return [unflatten(m.field, n.dim, m.dim, vec, support) for vec in
+            kernel(intertwiner_system(m, n, support)).basis.transpose().entries]
+
+
 @given(supported_pairs())
 @settings(max_examples=100, deadline=None)
 def test_canonical_hom_bases_match_the_dense_reference(case):
     m, n, support = case
     full = dense_intertwiner_basis(m, n)
     assert [h.mat for h in hom_basis(m, n)] == full
-    assert intertwiner_basis(m, n, range(n.dim * m.dim)) == full
-    assert intertwiner_basis(m, n, support) == dense_intertwiner_basis(m, n, support)
+    assert supported_basis(m, n, range(n.dim * m.dim)) == full
+    assert supported_basis(m, n, support) == dense_intertwiner_basis(m, n, support)
 
 
 def every_pair_system(m, n, support) -> Matrix:

@@ -158,7 +158,7 @@ def test_enum_submodules_against_independent_enumeration():
 
 def test_enum_submodules_guard():
     with pytest.raises(TooLarge):
-        enum_submodules(regular_module(F2, 2), guard=2)
+        enum_submodules(regular_module(GF(257), 2))    # 257^2 > 2^16
     with pytest.raises(TooLarge):
         enum_submodules(regular_module(QQ, 2))
 
@@ -305,6 +305,24 @@ def test_cli_field_mismatch_between_documents():
     code, _, err = run_cli(["hom", data_path("rep_dual_lambda2.json"), str(path)])
     assert code == 2
     assert json.loads(err)["error"] == "FieldMismatch"
+
+
+def test_series_iso_witness_map_document_round_trips():
+    code, out, err = run_cli(["series-iso", data_path("rep_nilp3_mu.json"),
+                              data_path("rep_nilp3_mu.json")])
+    assert (code, err) == (0, "")
+    doc = parse_document(out)
+    assert doc.kind == "map" and doc.value.is_intertwiner()
+    assert format_document(doc) == out
+
+
+def test_cli_document_of_the_wrong_kind_is_parse_error():
+    code, out, err = run_cli(["hom", data_path("cert_dual_eta.json"),
+                              data_path("rep_dual_lambda.json")])
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert "got 'certificate'" in payload["message"]
 
 
 def test_cli_series_iso_refuses_different_algebras():

@@ -7,11 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moddeg import (LadderCertificate, Matrix, ModuleMap, build_family,
-                    direct_sum, evaluate_family, ladder_from_columns,
-                    make_monic, orbit_dim_ud, psi_embed,
-                    series_isomorphic, validate,
-                    verify_certificate, verify_ladder)
+from moddeg import (AlgebraPresentation, LadderCertificate, Matrix,
+                    ModuleMap, build_family, direct_sum, evaluate_family,
+                    ladder_from_columns, make_monic, orbit_dim_ud, psi_embed,
+                    series_isomorphic, validate, verify_certificate,
+                    verify_ladder)
 from moddeg.algebras import sub_representation, zero_representation
 from moddeg.errors import BadParameter, VerificationFailed
 from moddeg.fields import GF, QQ
@@ -283,6 +283,25 @@ def test_psi_respects_all_declared_relations():
         out = psi_embed(tri)
         report = validate(out)
         assert report.ok, report.failures()
+
+
+def test_psi_over_a_base_algebra_with_a_unit_generator():
+    # k[X]/(X^3) with its unit declared as the generator "one": the lift
+    # L_one, not the lifted idempotents, must equal the sum of the E_ii
+    base = AlgebraPresentation(
+        name="k[X]/(X^3) with a unit generator", generators=("one", "e", "x"),
+        idempotents=("e",), radical_generators=("x",),
+        relations=(((1, (2, 2, 2)),),), unit_generator="one")
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    rep = make_rep(base, QQ, [ident, ident, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]])
+    assert validate(rep).ok
+    out = psi_embed(TriangularRep(rep))
+    assert out.algebra.unit_generator is None
+    assert list(out.mats) == dense_psi(rep)
+    report = validate(out)
+    assert report.ok, report.failures()
+    assert "relation L_one + -1*E1_1 + -1*E2_2 + -1*E3_3 = 0" in [
+        item.name for item in report.items]
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(3)], ids=["QQ", "GF3"])

@@ -126,3 +126,23 @@ def test_dense_view_is_read_only_by_the_encoder_and_repr():
     found = {(path.name, where) for path in SOURCES
              for where in _data_reads(ast.parse(path.read_text(encoding="utf-8")))}
     assert found == {("io_json.py", "_encode"), ("linalg.py", "__repr__")}
+
+
+def test_the_enumeration_bound_is_written_once():
+    """``1 << 16`` (or 65536) appears in the library only as the value of
+    ``linalg.ENUMERATION_LIMIT``, which every exhaustive search reads."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node.value): node.targets for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)}
+        for node in ast.walk(tree):
+            shifted = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+                       and all(isinstance(side, ast.Constant)
+                               for side in (node.left, node.right))
+                       and node.left.value << node.right.value == 1 << 16)
+            if shifted or (isinstance(node, ast.Constant) and node.value == 1 << 16):
+                targets = [t.id for t in owner.get(id(node), ())
+                           if isinstance(t, ast.Name)]
+                found.append((path.name, targets))
+    assert found == [("linalg.py", ["ENUMERATION_LIMIT"])]

@@ -451,8 +451,9 @@ def test_tagged_tracker_reads_coordinates_and_the_inverse_transpose(fld, n, data
     """Columns b_0, .., b_(k-1) of an invertible B, added as [b_j | e_(n+j)]
     to a tracker of width n, are all kept.  A vector v = B x of their span,
     added as [v | e_(n+k)], is not, and ``coordinates`` reads
-    ``solve_right`` of v; once all n columns are in, the tag block of
-    ``echelon_rows`` is ``inverse(B).transpose()`` beside the identity.
+    ``solve_right`` of v; once all n columns are in, the coordinates of
+    the unit vectors, added as [e_r | e_(2n)], are the rows of
+    ``inverse(B).transpose()``, and no unit vector is kept.
     QQ entries are fractions a/d with d from 2 to 7."""
     rng = data.draw(st.randoms(use_true_random=False))
 
@@ -479,11 +480,11 @@ def test_tagged_tracker_reads_coordinates_and_the_inverse_transpose(fld, n, data
         assert tracker.coordinates() == solve_right(part, v).transpose().entries[0]
     for j in range(k, n):
         assert tracker.add(_tagged(fld, columns[j], n + j))
-    rows = tracker.echelon_rows()
-    assert [(cols[:1], vals[:1]) for cols, vals in rows] == [((c,), (1,)) for c in range(n)]
-    assert Matrix._from_entries(fld, n, n, [
-        (tuple([c - n for c in cols[1:]]), vals[1:]) for cols, vals in rows
-    ]) == inverse(b).transpose()
+    rows = []
+    for r in range(n):
+        assert not tracker.add(((r, 2 * n), (fld.one, fld.one)))
+        rows.append(tracker.coordinates())
+    assert Matrix._from_entries(fld, n, n, rows) == inverse(b).transpose()
 
 
 F32003 = GF(32003)

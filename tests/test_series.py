@@ -13,7 +13,7 @@ from moddeg import (Matrix, Submodule, Subspace, composition_series,
                     simultaneous_triangularize, socle,
                     tc_idempotent_matrices, tc_membership,
                     triangular_to_series, validate)
-from moddeg.algebras import ModuleMap, conjugate
+from moddeg.algebras import ModuleMap, conjugate, zero_representation
 from moddeg.errors import FieldTooSmall, VectorMismatch
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
@@ -22,7 +22,8 @@ from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
                              nu_shift_triangular, regular_module,
                              simple_module, truncated_polynomial_algebra,
                              y_module)
-from moddeg.linalg import first_combination, kernel, row_from_dense, rref
+from moddeg.linalg import (ENUMERATION_LIMIT, first_combination, kernel,
+                           row_from_dense, rref)
 from moddeg.series import (TriangularRep, triangularize_flags,
                            upper_triangular_hom_basis)
 from support import (random_invertible, random_kronecker, random_nilpotent_rep,
@@ -244,14 +245,33 @@ def test_series_isomorphic_witness_over_prime_fields():
         assert series_isomorphic(mu, nu_shift_triangular(fld)) is None
 
 
+@pytest.mark.parametrize("fld", [QQ, F2], ids=str)
+def test_series_isomorphic_in_dimension_zero_is_the_empty_map(fld):
+    zero = TriangularRep(zero_representation(KX3, fld))
+    w = series_isomorphic(zero, zero)
+    assert w is not None and w.mat == Matrix.zeros(fld, 0, 0)
+    assert w.source == w.target == zero.rep
+
+
+def zero_action(fld, d: int) -> TriangularRep:
+    """X = 0 on k^d over k[X]/(X^2): every upper-triangular matrix
+    intertwines it with itself."""
+    return TriangularRep(make_rep(truncated_polynomial_algebra(2), fld,
+                                  [[[int(i == j) for j in range(d)] for i in range(d)],
+                                   [[0] * d for _ in range(d)]]))
+
+
 def test_series_isomorphic_field_too_small_guard():
-    from moddeg.errors import FieldTooSmall
-    mu = mu_corner_triangular(F2)
-    # degree bound exceeds |F_2| and the exhaustive fallback is disabled
+    # at d = 17 the diagonals need 17 maps: the scan's degree bound
+    # 17 * 16 exceeds |F_2|, and 2^17 combinations exceed the enumeration
+    # bound
+    zero = zero_action(F2, 17)
     with pytest.raises(FieldTooSmall):
-        series_isomorphic(mu, mu, exhaustive_limit=1)
-    # with the fallback enabled the same query decides
-    assert series_isomorphic(mu, mu) is not None
+        series_isomorphic(zero, zero)
+    # over QQ the scan applies and the same query decides
+    zero = zero_action(QQ, 17)
+    w = series_isomorphic(zero, zero)
+    assert w is not None and w.mat.is_upper_triangular()
 
 
 def test_series_isomorphic_searches_only_the_diagonals_the_space_reaches():
@@ -365,8 +385,7 @@ def test_series_isomorphic_against_the_triangular_group(p):
                     assert all(h @ x == y @ h for x, y in zip(a.mats, b.mats))
 
 
-def unflatten_every_map_series_isomorphic(a: TriangularRep, b: TriangularRep,
-                                          exhaustive_limit: int = 1 << 16):
+def unflatten_every_map_series_isomorphic(a: TriangularRep, b: TriangularRep):
     """``series_isomorphic`` by the route that unflattens every map: the
     whole canonical triangular Hom basis as matrices, its d diagonal
     functionals read with ``entry(j, j)``, the maps at their ``rref``
@@ -396,7 +415,7 @@ def unflatten_every_map_series_isomorphic(a: TriangularRep, b: TriangularRep,
     if not fld.finite or fld.p > degree:
         acc = first_combination(basis, invertible,
                                 map(moment_curve, range(degree + 1)))
-    elif fld.p ** k <= exhaustive_limit:
+    elif fld.p ** k <= ENUMERATION_LIMIT:
         acc = first_combination(basis, invertible)
         if acc is None:
             return None
@@ -436,9 +455,9 @@ def random_triangular(fld, rng, kind: str, d: int) -> TriangularRep:
     return series_to_triangular(composition_series(rep))
 
 
-def series_outcome(decide, a, b, limit):
+def series_outcome(decide, a, b):
     try:
-        w = decide(a, b, limit)
+        w = decide(a, b)
     except FieldTooSmall:
         return "FieldTooSmall"
     return None if w is None else w.mat
@@ -448,20 +467,23 @@ def series_outcome(decide, a, b, limit):
 def test_series_isomorphic_matches_the_route_unflattening_every_map(fld):
     """Reading the diagonal functionals off the kernel basis and
     unflattening only the pivot maps gives the same witness, None or
-    FieldTooSmall as unflattening every map of the basis."""
+    FieldTooSmall as unflattening every map of the basis; over GF(2) and
+    GF(3) the 17-dimensional zero action reaches FieldTooSmall."""
     rng = random.Random(f"series:{fld}")
-    outcomes = []
+    pairs = []
     for kind in ("jordan", "strict", "kronecker"):
         for _ in range(6):
             d = rng.randint(2, 6)
             a = random_triangular(fld, rng, kind, d)
-            for b in (a, random_upper_conjugate(a, rng),
-                      random_triangular(fld, rng, kind, d)):
-                for limit in (1 << 16, 1):
-                    got = series_outcome(series_isomorphic, a, b, limit)
-                    assert got == series_outcome(
-                        unflatten_every_map_series_isomorphic, a, b, limit)
-                    outcomes.append("witness" if isinstance(got, Matrix) else got)
+            pairs.extend((a, b) for b in (a, random_upper_conjugate(a, rng),
+                                          random_triangular(fld, rng, kind, d)))
+    if fld.finite and fld.p < 5:
+        pairs.append((zero_action(fld, 17), zero_action(fld, 17)))
+    outcomes = []
+    for a, b in pairs:
+        got = series_outcome(series_isomorphic, a, b)
+        assert got == series_outcome(unflatten_every_map_series_isomorphic, a, b)
+        outcomes.append("witness" if isinstance(got, Matrix) else got)
     assert "witness" in outcomes and None in outcomes
     if fld.finite and fld.p < 5:
         assert "FieldTooSmall" in outcomes
