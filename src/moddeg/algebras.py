@@ -10,17 +10,24 @@ never symbolically.  Module elements are column vectors and a word
 One builder, ``intertwiner_equations``, writes the equations
 n_g (H b_j) = H (m_g b_j) of an intertwiner H on a basis b of M.  Every
 full Hom(M, N) is solved on a spin basis (``hom_spin``): H is fixed by
-its values on the t roots from which the generators spin b, so the system
-has t * dim N unknowns.  The spin eliminates its basis B once: its
-tracker rows carry coordinates in B, so each image that lies in the span
-has its coordinates read off its own echelon row.  ``hom_dim`` spins M
-and needs only the rank, with no back-substitution.  ``hom_basis`` spins
-the transposed pair (N^T, M^T), whose unknowns are rows of H, or M when
-every generator of N is lower triangular, with its unknowns renumbered
-row-major; either way the canonical basis of the kernel is the reduced
-echelon form of Hom at its unknowns, and each kernel vector lifts to one
-basis map through B^-T, whose row r the same tracker reads as the
-coordinates of e_r in B, with no further elimination.
+its values on the roots from which the generators spin b.  The coordinate
+idempotents, generators that are diagonal 0/1 matrices on both sides such
+as the vertex idempotents of a quiver module or the E_ii of a
+triangular-algebra module, are held as a support rather than spun
+(``coordinate_classes``) whenever the other generators map their classes
+consistently: the image of a root then has unknowns only at the
+coordinates of N in the root's class, so the system has the sum of the
+roots' class sizes as unknowns, at most t * dim N for t roots, and the
+idempotents write no equations.  The spin eliminates its basis B once:
+its tracker rows carry coordinates in B, so each image that lies in the
+span has its coordinates read off its own echelon row.  ``hom_dim`` spins
+M and needs only the rank, with no back-substitution.  ``hom_basis``
+spins the transposed pair (N^T, M^T), whose unknowns are entries of rows
+of H, or M when every generator of N is lower triangular, with its
+unknowns sorted row-major; either way the canonical basis of the kernel
+is the reduced echelon form of Hom at its unknowns, and each kernel
+vector lifts to one basis map through B^-T, whose row r the same tracker
+reads as the coordinates of e_r in B, with no further elimination.
 ``intertwiner_system`` takes the unit vectors, one unknown per entry of
 H, for intertwiners held to a support: ``series`` unflattens its kernel
 into the triangular Hom basis, or reads the kernel's flattened vectors
@@ -365,28 +372,70 @@ def intertwiner_system(m: Representation, n: Representation,
                                  [unknown[j::dm] for j in range(dm)], pending)
 
 
+def coordinate_classes(m: Representation, n: Representation,
+                       gens: Sequence[int]) -> tuple[list, list, list]:
+    """The generators of ``gens`` that ``hom_spin`` spins, with the class
+    of every coordinate of m and of n.
+
+    A coordinate idempotent is a generator that is a diagonal 0/1 matrix
+    on both m and n (the zero matrix included), and a coordinate's class
+    is its 0/1 pattern across them, as a bit mask.  H commutes with them
+    exactly when H[r][c] = 0 wherever N-row r and M-column c differ in
+    class.  They are held as that support, and left out of the spin, when
+    every other generator sends each class into one class by one class
+    map on m and n alike; otherwise every generator is spun and every
+    coordinate has class 0."""
+    idem = [g for g in gens if all(
+        not cols or (cols == (r,) and vals[0] == 1)
+        for a in (m.mats[g], n.mats[g]) for r, (cols, vals) in enumerate(a.entries))]
+    classes = []
+    for rep in (m, n):
+        cls = [0] * rep.dim
+        for bit, g in enumerate(idem):
+            for r, (cols, _) in enumerate(rep.mats[g].entries):
+                if cols:
+                    cls[r] |= 1 << bit
+        classes.append(cls)
+    rest = [g for g in gens if g not in idem]
+    for g in rest:
+        image = {}          # the class map of g: a class -> the class it lands in
+        for a, cls in zip((m.mats[g], n.mats[g]), classes):
+            for r, (cols, _) in enumerate(a.entries):
+                for c in cols:
+                    if image.setdefault(cls[c], cls[r]) != cls[r]:
+                        return list(gens), [0] * m.dim, [0] * n.dim
+    return rest, *classes
+
+
 @dataclass(frozen=True)
 class HomSpin:
     """The intertwiner equations of m -> n in the images of m's spin roots.
 
-    m is spun from greedy unit vectors e_0, e_1, .. under the generators
-    that are not the identity on both sides (``acting_generators``), into
-    the spin basis b_0, b_1, .. of k^m.dim.  An intertwiner H is fixed by
-    the images h_k of the roots, stacked in order as the unknowns:
-    H b_j = W_j h_k for the root k of b_j, with ``words[j]`` the word W_j
-    in the n_g that spun b_j (the identity at a root) and ``places[j]``
-    the block of unknowns holding h_k.  ``equations`` are
-    ``intertwiner_equations`` on the spin basis with these words and
-    places, for every image m_g b_j that did not become a basis vector;
-    its column count is the number of unknowns.  ``tracker`` is the one
-    elimination of the spin basis B: its rows carry coordinates in B
+    The coordinate idempotents of ``coordinate_classes`` are held as a
+    support: an unknown H[s][c] exists only where N-coordinate s and
+    M-coordinate c lie in one class.  m is spun from greedy unit vectors
+    e_0, e_1, .. under the other generators that are not the identity on
+    both sides (``acting_generators``), into the spin basis b_0, b_1, ..
+    of k^m.dim; each b_j lies in one class.  An intertwiner H is fixed by
+    the images h_k = H e_i of the roots e_i, stacked in order as the
+    unknowns: H b_j = W_j h_k for the root of b_j, with ``words[j]`` the
+    word W_j in the n_g that spun b_j (the identity at a root) and
+    ``places[j]`` the place of h_k: entry s is the unknown H[s][i], or
+    None where s is of another class than i and H[s][i] is held at zero.
+    ``roots`` lists, in order, each root's unit-vector index i with its
+    place.  ``equations`` are ``intertwiner_equations`` on the spin basis
+    with these words and places, for every image m_g b_j that did not
+    become a basis vector; its column count is the number of unknowns,
+    the sum over the roots of their class sizes in n.  ``tracker`` is the
+    one elimination of the spin basis B: its rows carry coordinates in B
     (``EchelonTracker`` with width m.dim), those of e_r being row r of
-    B^-T.  ``hom_basis`` builds it for the transposed pair
-    (n^T, m^T) unless every generator of n is lower triangular.
+    B^-T.  ``hom_basis`` builds it for the transposed pair (n^T, m^T)
+    unless every generator of n is lower triangular.
     """
 
     words: tuple
     places: tuple
+    roots: tuple
     tracker: EchelonTracker
     equations: Matrix
 
@@ -399,17 +448,22 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
     m_g, taken once per generator.  The candidate for b_j enters the
     tracker tagged [v | e_(m.dim+j)]; one that is not kept lies in the
     span, and the tracker reads its coordinates off what is left of it.
-    Each word is a product taken once per generator path: the lead
-    n_g W_j of an image is keyed by g and the path of b_j, so roots that
-    spin along the same paths, as the roots of a Jordan-type module do
-    along the powers of X, share their products."""
-    gens = acting_generators(m, n)
+    An image with no stored entry has empty coordinates and is not added;
+    it yields equations n_g W_j h_k = 0 only when the lead n_g W_j has a
+    stored entry.  Each word is a product taken once per generator path:
+    the lead n_g W_j of an image is keyed by g and the path of b_j, so
+    roots that spin along the same paths, as the roots of a Jordan-type
+    module do along the powers of X, share their products."""
+    gens, class_m, class_n = coordinate_classes(m, n, acting_generators(m, n))
     fld, dm, dn = m.field, m.dim, n.dim
-    one = fld.one
+    one, empty = fld.one, ((), ())
     acts = [(g, m.mats[g].transpose(), n.mats[g]) for g in gens]
+    in_class = {}         # class -> the coordinates of n in it
+    for s, c in enumerate(class_n):
+        in_class.setdefault(c, []).append(s)
     leads = {(): Matrix.identity(fld, dn)}    # generator path -> its word in the n_g
     tracker = EchelonTracker(fld, dm)
-    vectors, paths, places = [], [], []
+    vectors, paths, places, roots = [], [], [], []
     pending = []          # (n_g W_j, j, coordinates of m_g b_j) for images in the span
     nvars = 0
     for i in range(dm):
@@ -418,10 +472,14 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
         if not tracker.add(((i, dm + len(vectors)), (one, one))):
             continue
         j = len(vectors)
+        place = [None] * dn
+        for s in in_class.get(class_m[i], ()):
+            place[s] = nvars
+            nvars += 1
         vectors.append(((i,), (one,)))
         paths.append(())
-        places.append(range(nvars, nvars + dn))
-        nvars += dn
+        places.append(place)
+        roots.append((i, place))
         while j < len(vectors):
             row = Matrix._from_entries(fld, 1, dm, (vectors[j],))
             for g, mt, ng in acts:
@@ -429,7 +487,10 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
                 path = (g, *paths[j])
                 if path not in leads:
                     leads[path] = ng @ leads[paths[j]] if paths[j] else ng
-                if tracker.add((cols + (dm + len(vectors),), vals + (one,))):
+                if not cols:
+                    if not leads[path].is_zero():
+                        pending.append((leads[path], j, empty))
+                elif tracker.add((cols + (dm + len(vectors),), vals + (one,))):
                     vectors.append((cols, vals))
                     paths.append(path)
                     places.append(places[j])
@@ -437,7 +498,7 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
                     pending.append((leads[path], j, tracker.coordinates()))
             j += 1
     words = [leads[path] for path in paths]
-    return HomSpin(tuple(words), tuple(places), tracker,
+    return HomSpin(tuple(words), tuple(places), tuple(roots), tracker,
                    intertwiner_equations(fld, nvars, words, places, pending))
 
 
@@ -454,18 +515,20 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     the reduced row echelon form of the row-major flattened maps, which is
     unique, so the output is deterministic.
 
-    It is the kernel basis of a spin system (``hom_spin``) whose unknowns
-    are entries of H numbered in row-major order, lifted with no further
-    elimination.  Mostly the transposed pair (n^T, m^T) is spun: H^T is
-    fixed on the greedy roots r_0 < r_1 < .. of the spin of n^T, so the
-    unknowns are the rows r_k of H, unknown k * m.dim + c being H[r_k][c].
-    A row r that is not a root has e_r in the span of the spin of the
-    roots before r, so row r of every H is a function of those rows: the
-    leading row-major entry of every nonzero H lies in a root row.  When
-    every generator of n is lower triangular, every row would be a root
-    (the spin of n^T keeps n.dim roots exactly then), so m and n are spun
-    as in ``hom_dim``, and the unknown H[r][root_k] is renumbered r * t + k
-    for t roots.  Here a column c that is not a root has H e_c a sum of
+    It is the kernel basis of a spin system (``hom_spin``) whose unknowns,
+    entries of H, are sorted by their row-major (row, column), lifted with
+    no further elimination.  Mostly the transposed pair (n^T, m^T) is
+    spun: H^T is fixed on the greedy roots r_0 < r_1 < .. of the spin of
+    n^T, so the unknowns are the entries of the rows r_k of H in the class
+    of r_k, already in row-major order.  A row r that is not a root has
+    e_r in the span of the spin of the roots before r, so row r of every H
+    is a function of those rows: the leading row-major entry of every
+    nonzero H lies in a root row, at an unknown since every other entry of
+    that row is held at zero.  When every generator of n is lower
+    triangular, every row would be a root (the spin of n^T keeps n.dim
+    roots exactly then), so m and n are spun as in ``hom_dim``, and the
+    unknowns, the entries H[r][root_k] in the class of root_k, are sorted
+    by (r, root_k).  Here a column c that is not a root has H e_c a sum of
     words in the n_g, all lower triangular, times columns of H at roots
     before c, so in the first nonzero row of H the first nonzero entry
     lies in a root column.  Either way the unknowns hold every leading
@@ -474,33 +537,37 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     one basis map.
 
     The lift: let G be H^T when n^T was spun and H otherwise, B the spin
-    basis and K the kernel basis.  The block W_j K[places[j]] holds G b_j
-    for every kernel vector at once; stacked, row j * w + a holds entry a
-    of G b_j, for w the length of each h_k.  Since G^T = B^-T (G B)^T,
-    the Kronecker product of B^-T with the w x w identity turns each
-    column into G^T flattened row-major: H itself when n^T was spun, its
-    transpose otherwise.  Row r of B^-T holds the coordinates of e_r in
-    B, which the spin tracker reads as for any vector of its span, and B
-    is eliminated once."""
+    basis and K the kernel basis.  The block W_j K[places[j]], with a zero
+    row at each None of the place, holds G b_j for every kernel vector at
+    once; stacked, row j * w + a holds entry a of G b_j, for w the length
+    of each place.  Since G^T = B^-T (G B)^T, the Kronecker product of
+    B^-T with the w x w identity turns each column into G^T flattened
+    row-major: H itself when n^T was spun, its transpose otherwise.  Row
+    r of B^-T holds the coordinates of e_r in B, which the spin tracker
+    reads as for any vector of its span, and B is eliminated once."""
     fld, dm, dn = m.field, m.dim, n.dim
     direct = all(g.is_lower_triangular() for g in n.mats)
     spin = hom_spin(m, n) if direct else hom_spin(transposed(n), transposed(m))
     s, w = (dm, dn) if direct else (dn, dm)
     equations = spin.equations
-    if direct:
-        # unknown k * dn + r, the entry H[r][root_k], becomes r * t + k
-        t = equations.cols // max(dn, 1)
-        order = [r * t + k for k in range(t) for r in range(dn)]
-        equations = equations.submatrix(range(equations.rows), [
-            k * dn + r for r in range(dn) for k in range(t)])
+    at = [None] * equations.cols            # unknown -> its (row, column) in H
+    for i, place in spin.roots:
+        for a, k in enumerate(place):
+            if k is not None:
+                at[k] = (a, i) if direct else (i, a)
+    order = sorted(range(equations.cols), key=at.__getitem__)
+    if direct:      # the transposed spin numbers its unknowns row-major
+        equations = equations.submatrix(range(equations.rows), order)
     ker = kernel(equations).basis
     kb = ker.cols
     if not kb:
         return []
-    if direct:
-        ker = ker.submatrix(order, range(kb))
-    spun = vstack(*[word @ ker.submatrix(place, range(kb))
-                    for word, place in zip(spin.words, spin.places)])
+    at_unknown, empty = [None] * len(order), ((), ())
+    for k, row in zip(order, ker.entries):
+        at_unknown[k] = row         # the kernel basis at unknown k
+    spun = vstack(*[word @ Matrix._from_entries(
+        fld, w, kb, [empty if k is None else at_unknown[k] for k in place])
+        for word, place in zip(spin.words, spin.places)])
     # B^-T (x) I_w: row b * w + a holds row b of B^-T, the coordinates of
     # e_b in B, at the columns j * w + a
     tracker, one = spin.tracker, fld.one

@@ -18,16 +18,18 @@ from moddeg.algebras import (acting_generators, conjugate, hom_spin,
                              transposed, unflatten)
 from moddeg.errors import AlgebraMismatch
 from moddeg.fields import GF, QQ
-from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
-                             kron_regular, kron_s1, kron_s2,
+from moddeg.fixtures import (bidir_m, bidir_n, bidirectional_quiver_algebra,
+                             jordan_module, kron_i2, kron_regular, kron_s1, kron_s2,
                              kronecker_algebra, make_rep,
                              mu_corner_triangular, simple_module,
                              truncated_polynomial_algebra)
-from moddeg.linalg import Matrix, kernel
+from moddeg.ladders import psi_embed
+from moddeg.linalg import Matrix, block_diag, kernel
 from moddeg.series import TriangularRep, upper_triangular_hom_basis
 
 from support import (dense_intertwiner_basis, independent_hom_dim,
-                     random_invertible, random_kronecker)
+                     random_invertible, random_kronecker,
+                     random_strict_triangular_nilpotent)
 
 KX3 = truncated_polynomial_algebra(3)
 KRON = kronecker_algebra()
@@ -256,10 +258,96 @@ def test_transposed_spin_keeps_every_root_exactly_on_lower_triangular_targets(na
             m = tuple_rep(alg, fld, rng.randint(1, 4),
                           [rng.choice(KINDS) for _ in alg.generators],
                           rng.randrange(1 << 30))
-            roots = hom_spin(transposed(n), transposed(m)).equations.cols // m.dim
+            roots = len(hom_spin(transposed(n), transposed(m)).roots)
             assert (roots == d) == lower_triangular(n)
             seen.add(roots == d)
     assert seen == {False, True}
+
+
+def vertex_shuffled(rep, rng, split: int):
+    """``rep`` conjugated by a random invertible matrix that keeps the
+    first ``split`` coordinates (vertex 1) and the rest (vertex 2) apart,
+    then by a random permutation: the idempotents stay diagonal 0/1 and
+    every arrow still maps one vertex into the other."""
+    fld, d = rep.field, rep.dim
+    order = rng.sample(range(d), d)
+    perm = Matrix(fld, d, d, [[int(order[c] == r) for c in range(d)] for r in range(d)])
+    return conjugate(rep, block_diag(random_invertible(fld, rng, split),
+                                     random_invertible(fld, rng, d - split)) @ perm)
+
+
+def random_bidirectional(fld, rng, a: int, b: int):
+    """A ``bidirectional_quiver_algebra`` module of dimension vector
+    (a, b): the arrow 1 -> 2 sends the first p coordinates of vertex 1
+    into the first q of vertex 2, the arrow 2 -> 1 the others of vertex 2
+    into the others of vertex 1, so both two-step cycles vanish."""
+    p, q = rng.randint(0, a), rng.randint(0, b)
+    d = a + b
+    idem = [[[int(i == j and (i < a) == (v == 0)) for j in range(d)]
+             for i in range(d)] for v in (0, 1)]
+    there = [[rng.randint(-2, 2) if a <= i < a + q and j < p else 0
+              for j in range(d)] for i in range(d)]
+    back = [[rng.randint(-2, 2) if p <= i < a and a + q <= j else 0
+             for j in range(d)] for i in range(d)]
+    return make_rep(bidirectional_quiver_algebra(), fld, idem + [there, back])
+
+
+def class_size(rep, vertex: int) -> int:
+    """The number of coordinates on which e_vertex acts as one."""
+    return sum(1 for cols, _ in rep.mats[vertex].entries if cols)
+
+
+@pytest.mark.parametrize("name", sorted(ORIENTATION_FIELDS))
+def test_coordinate_idempotents_held_as_a_support_match_the_dense_reference(name):
+    """Quiver modules with diagonal idempotents, psi modules with their
+    diagonal matrix units E_ii, and tuples whose arrow mixes two vertices:
+    every ``hom_basis`` equals the dense reference and every ``hom_dim``
+    its length.  On Kronecker pairs each root e_i has unknowns only at the
+    coordinates of N at the vertex of i; once an arrow mixes the vertices,
+    every generator is spun and every root has n.dim unknowns."""
+    fld = ORIENTATION_FIELDS[name]
+    rng = random.Random(f"support:{name}")
+
+    def check(m, n):
+        basis = [h.mat for h in hom_basis(m, n)]
+        assert basis == dense_intertwiner_basis(m, n)
+        assert hom_dim(m, n) == len(basis)
+
+    for _ in range(6):
+        dims = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(2)]
+        base = random_kronecker(fld, rng, *dims[0], rng.random())
+        m, again = (vertex_shuffled(base, rng, dims[0][0]) for _ in range(2))
+        n = vertex_shuffled(random_kronecker(fld, rng, *dims[1], rng.random()), rng, dims[1][0])
+        for source, target in ((m, n), (m, again), (n, m), (m, base)):
+            check(source, target)
+            spin = hom_spin(source, target)
+            vertex = [bool(source.mats[0].entries[i][0]) for i, _ in spin.roots]
+            assert spin.equations.cols == sum(
+                class_size(target, 0 if v else 1) for v in vertex)
+        m, n = (random_bidirectional(fld, rng, a, b) for a, b in dims)
+        for source, target in ((m, n), (m, vertex_shuffled(m, rng, dims[0][0]))):
+            check(source, target)
+    for d in (1, 2, 3):
+        t = TriangularRep(random_strict_triangular_nilpotent(fld, rng, d))
+        u = Matrix.from_rows(fld, [[int(i == j) or rng.randint(-2, 2) * (j > i)
+                                    for j in range(d)] for i in range(d)])
+        other = TriangularRep(random_strict_triangular_nilpotent(fld, rng, d))
+        for n in (psi_embed(TriangularRep(conjugate(t.rep, u))), psi_embed(other)):
+            check(psi_embed(t), n)
+    for _ in range(4):
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        mixed = random_kronecker(fld, rng, a, b)
+        arrow = [list(row) for row in mixed.mats[2].data]
+        c = rng.randrange(a)        # sent into vertex 1 and vertex 2 at once
+        arrow[rng.randrange(a)][c] = arrow[a + rng.randrange(b)][c] = fld.one
+        mixed = Representation(mixed.algebra, fld, a + b, (
+            *mixed.mats[:2], Matrix.from_rows(fld, arrow), mixed.mats[3]))
+        for source, target in ((mixed, random_kronecker(fld, rng, b, a)),
+                               (mixed, vertex_shuffled(mixed, rng, a)),
+                               (random_kronecker(fld, rng, a, b), mixed)):
+            check(source, target)
+            spin = hom_spin(source, target)
+            assert spin.equations.cols == len(spin.roots) * target.dim
 
 
 def test_spin_system_of_a_conjugated_jordan_module_has_t_dim_n_unknowns():
