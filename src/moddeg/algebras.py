@@ -327,7 +327,7 @@ def intertwiner_equations(fld, nvars: int, words: Sequence[Matrix],
             row = row_from_dict(a)
             if row[0]:
                 rows.append(row)
-    return Matrix._from_entries(fld, len(rows), nvars, rows)
+    return Matrix(fld, len(rows), nvars, rows)
 
 
 def unflatten(fld, rows: int, cols: int, vector: tuple,
@@ -345,7 +345,7 @@ def unflatten(fld, rows: int, cols: int, vector: tuple,
         hi = bisect_left(flat, start + cols, lo)
         out.append((tuple([k - start for k in flat[lo:hi]]), vals[lo:hi]))
         lo = hi
-    return Matrix._from_entries(fld, rows, cols, out)
+    return Matrix(fld, rows, cols, out)
 
 
 def intertwiner_system(m: Representation, n: Representation,
@@ -481,7 +481,7 @@ def hom_spin(m: Representation, n: Representation) -> HomSpin:
         places.append(place)
         roots.append((i, place))
         while j < len(vectors):
-            row = Matrix._from_entries(fld, 1, dm, (vectors[j],))
+            row = Matrix(fld, 1, dm, (vectors[j],))
             for g, mt, ng in acts:
                 cols, vals = (row @ mt).entries[0]
                 path = (g, *paths[j])
@@ -565,7 +565,7 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     at_unknown, empty = [None] * len(order), ((), ())
     for k, row in zip(order, ker.entries):
         at_unknown[k] = row         # the kernel basis at unknown k
-    spun = vstack(*[word @ Matrix._from_entries(
+    spun = vstack(*[word @ Matrix(
         fld, w, kb, [empty if k is None else at_unknown[k] for k in place])
         for word, place in zip(spin.words, spin.places)])
     # B^-T (x) I_w: row b * w + a holds row b of B^-T, the coordinates of
@@ -576,7 +576,7 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         tracker.add(((b, 2 * s), (one, one)))
         cols, vals = tracker.coordinates()
         rows += [(tuple([j * w + a for j in cols]), vals) for a in range(w)]
-    lift = Matrix._from_entries(fld, s * w, s * w, rows)
+    lift = Matrix(fld, s * w, s * w, rows)
     maps = (lift @ spun).transpose()
     return [ModuleMap(m, n, g.transpose() if direct else g)
             for g in (unflatten(fld, s, w, row) for row in maps.entries)]

@@ -251,7 +251,7 @@ def compose_certificates(c1: RiedtmannCertificate,
              for j in range(dw) for cols, vals in q1.entries]
     g2 = c2.g.mat
     sol = solve_right(
-        vstack(homs, Matrix._from_entries(fld, len(lifts), dxm * dw, lifts)),
+        vstack(homs, Matrix(fld, len(lifts), dxm * dw, lifts)),
         vstack(Matrix.zeros(fld, homs.rows, 1),
                *[g2.column_matrix(j) for j in range(dw)]))
     if sol is None:

@@ -237,7 +237,7 @@ def cert_dual_theta(fld) -> RiedtmannCertificate:
 def sub_dual_lambda_s(fld) -> Submodule:
     """Lambda (+) soc inside Lambda^2: the image of (1, 0; 0, i)."""
     lam2 = dual_numbers_modules(fld)[2]
-    basis = Matrix.from_columns(fld, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    basis = Matrix.from_rows(fld, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]).transpose()
     return Submodule(lam2, Subspace.from_columns(basis))
 
 
@@ -462,7 +462,7 @@ def fixture_documents() -> dict[str, Document]:
         "rep_dual_lambda.json": document_for(lam),
         "rep_dual_lambda_f2.json": document_for(regular_module(GF(2), 2)),
         "sub_dual_soc.json": document_for(Submodule(
-            lam, Subspace.from_columns(Matrix.from_columns(QQ, [[0, 1]])))),
+            lam, Subspace.from_columns(Matrix.from_rows(QQ, [[0, 1]]).transpose()))),
         "ladder_r2_trivial.json": document_for(trivial_ladder(kron_r2_mu(QQ))),
         "series_dual_lambda2.json": document_for(composition_series(lam2)),
         "series_bidir_m.json": document_for(composition_series(bidir_m(QQ))),

@@ -57,10 +57,13 @@ def _expect_keys(obj: dict, required: tuple[str, ...], path: str):
         _fail(f"unknown keys {unknown}", path)
 
 
+# A JSON integer is read by ``type(v) is int``: true and false load as
+# bools, which ``isinstance(v, int)`` accepts, and 1 and 1.0 equal True.
+
 def _parse_field(obj, path: str):
-    if obj == {"rationals": True}:
+    if obj == {"rationals": True} and obj["rationals"] is True:
         return QQ
-    if isinstance(obj, dict) and set(obj) == {"p"} and isinstance(obj["p"], int):
+    if isinstance(obj, dict) and set(obj) == {"p"} and type(obj["p"]) is int:
         try:
             return GF(obj["p"])
         except ValueError as err:
@@ -103,7 +106,7 @@ def _parse_matrix(obj, fld, rows: int, cols, path: str) -> Matrix:
                 parsed[text] = _parse_scalar(text, fld, f"{path}[{i}][{j}]")
             values.append(parsed[text])
         entries.append(row_from_dense(values))
-    return Matrix._from_entries(fld, rows, cols, entries)
+    return Matrix(fld, rows, cols, entries)
 
 
 def _parse_algebra(obj, path: str) -> AlgebraPresentation:
@@ -176,7 +179,7 @@ def _algebra_payload(alg: AlgebraPresentation) -> dict:
 def _parse_rep(obj, alg, fld, path: str) -> Representation:
     _expect_keys(obj, ("dim", "mats"), path)
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         _fail("dim must be a nonnegative integer", path + ".dim")
     mats = obj["mats"]
     if not isinstance(mats, list) or len(mats) != len(alg.generators):

@@ -219,7 +219,7 @@ def build_family(lc: LadderCertificate,
             raise NoAdaptedBasis(
                 f"no adapted basis vector at position {i + 1}", index=i + 1)
         chosen.append(pick)
-    basis = Matrix._from_entries(fld, d, ambient.dim, chosen).transpose()
+    basis = Matrix(fld, d, ambient.dim, chosen).transpose()
     return DeformationFamily(lc, basis)
 
 
@@ -341,7 +341,7 @@ def psi_embed(tri: TriangularRep) -> Representation:
             r0, c0 = i * (i - 1) // 2, j * (j - 1) // 2
             for k, (cols, vals) in enumerate(mat.entries, r0):
                 out[k] = tuple([c0 + c for c in cols]), vals
-        return Matrix._from_entries(fld, a, a, out)
+        return Matrix(fld, a, a, out)
 
     stages = list(enumerate(chain.stages, 1))
     mats = [place(*[(stage.mats[g], i, i) for i, stage in stages])

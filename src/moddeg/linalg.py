@@ -2,14 +2,17 @@
 
 Matrices are stored row-sparse: each row once, as the columns of its
 nonzero entries in increasing order and their values, with no dense
-copy.  Sums, transposes, stacks and slices run over the stored entries
-only, and so do products, but for one dense pass noted below.  A product
-row whose left row holds one stored entry is the matching right row, as
-it is or scaled; other product rows sum plain int products and reduce
-once per output entry: over GF(p) into a dense int list of the row's
-length, read back once as its residues mod p, so such a row costs
-O(other.cols) however sparse the right factor is, and over QQ into a
-dict, read back as ``Fraction``s over a common denominator.
+copy.  A matrix is built one way: the constructor takes stored rows as
+they are, and dense values come in only through ``Matrix.from_rows``,
+which coerces them and checks the shape.  Sums, transposes, stacks and
+slices run over the stored entries only, and so do products, but for one
+dense pass noted below.  A product row whose left row holds one stored
+entry is the matching right row, as it is or scaled; other product rows
+sum plain int products and reduce once per output entry: over GF(p) into
+a dense int list of the row's length, read back once as its residues mod
+p, so such a row costs O(other.cols) however sparse the right factor is,
+and over QQ into a dict, read back as ``Fraction``s over a common
+denominator.
 
 Elimination (``rref`` and ``EchelonTracker``) runs on sparse int rows,
 dicts from column to value: canonical residues over GF(p), and over QQ
@@ -97,64 +100,43 @@ class Matrix:
     ``entries`` holds one stored row per row: the pair of tuples
     ``(columns, values)`` of its nonzero entries, in increasing column
     order.  Values are canonical field elements, so a value is zero
-    exactly when it is falsy.  ``data`` is the dense view, built anew on
-    every read.
+    exactly when it is falsy.  The constructor takes the stored rows as
+    they are, unchecked; ``from_rows`` builds a matrix from dense values.
+    ``data`` is the dense view, built anew on every read.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
 
-    def __init__(self, field, rows: int, cols: int, data):
-        coerce = field.coerce
-        data = [[coerce(v) for v in row] for row in data]
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise DimensionMismatch("matrix data does not match declared shape")
+    def __init__(self, field, rows: int, cols: int, entries):
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = tuple([row_from_dense(row) for row in data])
-
-    @classmethod
-    def _from_entries(cls, field, rows: int, cols: int, entries) -> "Matrix":
-        """The matrix with the stored rows ``entries`` (a list or tuple),
-        taken as they are."""
-        m = object.__new__(cls)
-        m.field = field
-        m.rows = rows
-        m.cols = cols
-        m.entries = tuple(entries)
-        return m
+        self.entries = tuple(entries)
 
     @classmethod
     def from_rows(cls, field, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
+        """The matrix of the dense rows ``rows``, each value coerced into
+        ``field``; ``cols`` is needed only when there are no rows."""
         if rows:
             if cols is not None and cols != len(rows[0]):
                 raise DimensionMismatch(f"rows have {len(rows[0])} entries, not {cols}")
             cols = len(rows[0])
         elif cols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
-        return cls(field, len(rows), cols, rows)
-
-    @classmethod
-    def from_columns(cls, field, columns: Sequence[Sequence], rows: Optional[int] = None) -> "Matrix":
-        if columns:
-            if rows is not None and rows != len(columns[0]):
-                raise DimensionMismatch(f"columns have {len(columns[0])} entries, not {rows}")
-            rows = len(columns[0])
-        elif rows is None:
-            raise DimensionMismatch("empty matrix needs an explicit row count")
-        if any(len(col) != rows for col in columns):
-            raise DimensionMismatch("matrix columns differ in length")
-        return cls(field, rows, len(columns),
-                   [[col[i] for col in columns] for i in range(rows)])
+        coerce = field.coerce
+        data = [[coerce(v) for v in row] for row in rows]
+        if any(len(row) != cols for row in data):
+            raise DimensionMismatch("matrix data does not match declared shape")
+        return cls(field, len(data), cols, [row_from_dense(row) for row in data])
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        return cls._from_entries(field, rows, cols, (((), ()),) * rows)
+        return cls(field, rows, cols, (((), ()),) * rows)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         one = (field.one,)
-        return cls._from_entries(field, n, n, [((i,), one) for i in range(n)])
+        return cls(field, n, n, [((i,), one) for i in range(n)])
 
     @property
     def data(self) -> tuple:
@@ -182,16 +164,15 @@ class Matrix:
             for j, b in zip(*rb):
                 acc[j] = add(acc[j], b) if j in acc else b
             out.append(row_from_dict(acc))
-        return Matrix._from_entries(self.field, self.rows, self.cols, out)
+        return Matrix(self.field, self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix._from_entries(self.field, self.rows, self.cols,
-                                    [(cols, tuple([neg(v) for v in vals]))
-                                     for cols, vals in self.entries])
+        return Matrix(self.field, self.rows, self.cols,
+                      [(cols, tuple([neg(v) for v in vals])) for cols, vals in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -242,16 +223,16 @@ class Matrix:
                     acc[j] = acc.get(j, 0) + a * b
             row_den *= den
             out.append(row_from_dict({j: Fraction(v, row_den) for j, v in acc.items()}))
-        return Matrix._from_entries(f, self.rows, other.cols, out)
+        return Matrix(f, self.rows, other.cols, out)
 
     def scale(self, scalar) -> "Matrix":
         scalar = self.field.coerce(scalar)
         if not scalar:
             return Matrix.zeros(self.field, self.rows, self.cols)
         mul = self.field.mul
-        return Matrix._from_entries(self.field, self.rows, self.cols,
-                                    [(cols, tuple([mul(scalar, v) for v in vals]))
-                                     for cols, vals in self.entries])
+        return Matrix(self.field, self.rows, self.cols,
+                      [(cols, tuple([mul(scalar, v) for v in vals]))
+                       for cols, vals in self.entries])
 
     def transpose(self) -> "Matrix":
         rows = [[] for _ in range(self.cols)]
@@ -260,8 +241,8 @@ class Matrix:
             for j, v in zip(*row):
                 rows[j].append(i)
                 vals[j].append(v)
-        return Matrix._from_entries(self.field, self.cols, self.rows,
-                                    [(tuple(r), tuple(v)) for r, v in zip(rows, vals)])
+        return Matrix(self.field, self.cols, self.rows,
+                      [(tuple(r), tuple(v)) for r, v in zip(rows, vals)])
 
     # -- structure ----------------------------------------------------
 
@@ -281,7 +262,7 @@ class Matrix:
                 where.setdefault(c, []).append(k)
             rows = [row_from_dict({k: v for j, v in zip(*row) for k in where.get(j, ())})
                     for row in rows]
-        return Matrix._from_entries(self.field, len(rows), len(col_range), rows)
+        return Matrix(self.field, len(rows), len(col_range), rows)
 
     def is_zero(self) -> bool:
         return not any(cols for cols, _ in self.entries)
@@ -346,7 +327,7 @@ def hstack(*mats: Matrix) -> Matrix:
                 cols += row_cols
                 vals += row_vals
         out.append((cols, vals))
-    return Matrix._from_entries(mats[0].field, rows, offsets[-1], out)
+    return Matrix(mats[0].field, rows, offsets[-1], out)
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -355,7 +336,7 @@ def vstack(*mats: Matrix) -> Matrix:
     if any(m.cols != cols for m in mats):
         raise DimensionMismatch("vstack column mismatch")
     out = [row for m in mats for row in m.entries]
-    return Matrix._from_entries(mats[0].field, len(out), cols, out)
+    return Matrix(mats[0].field, len(out), cols, out)
 
 
 def block_diag(*mats: Matrix) -> Matrix:
@@ -365,7 +346,7 @@ def block_diag(*mats: Matrix) -> Matrix:
     for m in mats:
         out.extend(_shifted(row, offset) for row in m.entries)
         offset += m.cols
-    return Matrix._from_entries(mats[0].field, len(out), offset, out)
+    return Matrix(mats[0].field, len(out), offset, out)
 
 
 def _int_entries(row: tuple, p: int) -> dict:
@@ -474,7 +455,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         out = [(cols, tuple([Fraction(v, vals[0]) for v in vals])) for cols, vals in out]
     r = len(out)
     out.extend([((), ())] * (m.rows - r))
-    return Matrix._from_entries(field, m.rows, m.cols, out), r, tuple(sorted(pivots))
+    return Matrix(field, m.rows, m.cols, out), r, tuple(sorted(pivots))
 
 
 def canonical_pivot_rows(m: Matrix) -> Optional[list[int]]:
@@ -528,7 +509,7 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
         cols, vals = ech.entries[r]
         k = bisect_left(cols, n)
         out[p] = tuple([j - n for j in cols[k:]]), vals[k:]
-    return Matrix._from_entries(a.field, n, b.cols, out)
+    return Matrix(a.field, n, b.cols, out)
 
 
 def inverse(a: Matrix) -> Optional[Matrix]:
@@ -649,8 +630,7 @@ class Subspace:
         rows = canonical_pivot_rows(mat)
         if rows is None:
             ech, rank, _ = rref(mat.transpose())
-            return cls(Matrix._from_entries(mat.field, rank, mat.rows,
-                                            ech.entries[:rank]).transpose())
+            return cls(Matrix(mat.field, rank, mat.rows, ech.entries[:rank]).transpose())
         out = object.__new__(cls)
         out.basis = mat
         out.pivot_rows = rows
@@ -746,8 +726,7 @@ class Subspace:
                     chosen.append(cand)
                     if len(chosen) == need:
                         break
-        return Matrix._from_entries(self.field, len(chosen), self.ambient_dim,
-                                    chosen).transpose()
+        return Matrix(self.field, len(chosen), self.ambient_dim, chosen).transpose()
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -766,7 +745,7 @@ def kernel(m: Matrix) -> Subspace:
     if m.is_zero():
         return Subspace.full(m.field, m.cols)
     n = m.cols
-    ech, rank, pivots = rref(Matrix._from_entries(m.field, m.rows, n, [
+    ech, rank, pivots = rref(Matrix(m.field, m.rows, n, [
         (tuple([n - 1 - j for j in reversed(cols)]), vals[::-1])
         for cols, vals in m.entries]))
     field = m.field
@@ -782,7 +761,7 @@ def kernel(m: Matrix) -> Subspace:
     for c, (cols, vals) in zip(pivots, ech.entries[:rank]):
         out[n - 1 - c] = (tuple([place[j] for j in reversed(cols[1:])]),
                           tuple([neg(v) for v in reversed(vals[1:])]))
-    return Subspace(Matrix._from_entries(field, n, len(place), out))
+    return Subspace(Matrix(field, n, len(place), out))
 
 
 def image(m: Matrix) -> Subspace:

@@ -258,7 +258,7 @@ def tc_idempotent_matrices(algebra, fld, cvec: tuple[int, ...]) -> list[Matrix]:
     """The prescribed diagonal 0/1 idempotent images for a composition
     vector: entry (j, j) of the i-th matrix is 1 exactly when c_j = e_i."""
     d = len(cvec)
-    return [Matrix._from_entries(fld, d, d, [
+    return [Matrix(fld, d, d, [
         ((j,), (fld.one,)) if c == i else ((), ()) for j, c in enumerate(cvec)])
         for i in range(len(algebra.idempotents))]
 

@@ -68,7 +68,7 @@ def dense_rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
                 factor = a[i][c]
                 a[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(a[i], a[r])]
         pivots.append(c)
-    return Matrix(fld, m.rows, m.cols, a), len(pivots), tuple(pivots)
+    return Matrix.from_rows(fld, a, cols=m.cols), len(pivots), tuple(pivots)
 
 
 def dense_solve_right(a: Matrix, b: Matrix):
@@ -77,15 +77,15 @@ def dense_solve_right(a: Matrix, b: Matrix):
     augmented matrix [a | b].  The reference for ``solve_right`` and
     ``Subspace.coordinates``."""
     fld, n = a.field, a.cols
-    aug = Matrix(fld, a.rows, n + b.cols,
-                 [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)])
+    aug = Matrix.from_rows(fld, [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)],
+                           cols=n + b.cols)
     ech, _, pivots = dense_rref(aug)
     if any(c >= n for c in pivots):
         return None
     x = [[fld.zero] * b.cols for _ in range(n)]
     for r, c in enumerate(pivots):
         x[c] = list(ech.data[r][n:])
-    return Matrix(fld, n, b.cols, x)
+    return Matrix.from_rows(fld, x, cols=b.cols)
 
 
 def dense_span_basis(m: Matrix) -> Matrix:
@@ -93,12 +93,11 @@ def dense_span_basis(m: Matrix) -> Matrix:
     of ``dense_rref`` of its dense transpose, written as columns.  The
     reference for ``Subspace.from_columns``."""
     cells = m.data
-    ech, rank, _ = dense_rref(Matrix(m.field, m.cols, m.rows,
-                                     [[cells[i][j] for i in range(m.rows)]
-                                      for j in range(m.cols)]))
+    ech, rank, _ = dense_rref(Matrix.from_rows(
+        m.field, [[cells[i][j] for i in range(m.rows)] for j in range(m.cols)], cols=m.rows))
     rows = ech.data
-    return Matrix(m.field, m.rows, rank,
-                  [[rows[k][i] for k in range(rank)] for i in range(m.rows)])
+    return Matrix.from_rows(
+        m.field, [[rows[k][i] for k in range(rank)] for i in range(m.rows)], cols=rank)
 
 
 def random_canonical_basis(fld, rng: random.Random, n: int, k: int,
@@ -115,7 +114,7 @@ def random_canonical_basis(fld, rng: random.Random, n: int, k: int,
         for i in range(r + 1, n):
             if i not in pivots and rng.random() < density:
                 rows[i][j] = fld.sample(rng, 3)
-    return Matrix(fld, n, k, rows)
+    return Matrix.from_rows(fld, rows, cols=k)
 
 
 def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -132,7 +131,7 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
                 acc = fld.add(acc, fld.mul(left[i][k], right[k][j]))
             row.append(acc)
         out.append(row)
-    return Matrix(fld, a.rows, b.cols, out)
+    return Matrix.from_rows(fld, out, cols=b.cols)
 
 
 def kronecker_rows(m: Representation, n: Representation) -> list[list[Fraction]]:
@@ -179,7 +178,7 @@ def dense_intertwiner_basis(m: Representation, n: Representation,
         support = range(dn * dm)
     nvars = len(support)
     rows = [[row[k] for k in support] for row in kronecker_rows(m, n)]
-    ech, _, pivots = dense_rref(Matrix(fld, len(rows), nvars, rows))
+    ech, _, pivots = dense_rref(Matrix.from_rows(fld, rows, cols=nvars))
     a = ech.data
     vectors = []
     for j in range(nvars):
@@ -193,11 +192,11 @@ def dense_intertwiner_basis(m: Representation, n: Representation,
     if not vectors:
         return []
     out = []
-    for vec in dense_rref(Matrix(fld, len(vectors), nvars, vectors))[0].data:
+    for vec in dense_rref(Matrix.from_rows(fld, vectors, cols=nvars))[0].data:
         h = [[fld.zero] * dm for _ in range(dn)]
         for k, flat in enumerate(support):
             h[flat // dm][flat % dm] = vec[k]
-        out.append(Matrix(fld, dn, dm, h))
+        out.append(Matrix.from_rows(fld, h, cols=dm))
     return out
 
 
@@ -292,7 +291,7 @@ def submodule_point_set(sub) -> frozenset:
 
 def unit_column(fld, n: int, i: int) -> Matrix:
     """The n x 1 column with a one in row i and zeros elsewhere."""
-    return Matrix.from_columns(fld, [[int(k == i) for k in range(n)]])
+    return Matrix.from_rows(fld, [[int(k == i) for k in range(n)]]).transpose()
 
 
 def random_matrix(fld, rng: random.Random, rows: int, cols: int) -> Matrix:
@@ -381,7 +380,7 @@ def dense_psi(rep: Representation) -> list[Matrix]:
         for r in range(cols):
             img[start(rows) + r][start(cols) + r] = fld.one
         out.append(img)
-    return [Matrix(fld, size, size, img) for img in out]
+    return [Matrix.from_rows(fld, img, cols=size) for img in out]
 
 
 def random_strict_triangular_nilpotent(fld, rng: random.Random, d: int):

@@ -13,7 +13,7 @@ from moddeg import (Matrix, ModuleMap, Subspace, Submodule, direct_sum,
                     submodule_generated, validate)
 from moddeg import algebras, linalg
 from moddeg.algebras import conjugate, hom_spin
-from moddeg.errors import AlgebraMismatch, Undecided
+from moddeg.errors import AlgebraMismatch, NotSubmodule, Undecided
 from moddeg.fields import GF, QQ
 from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
                              kron_regular, kron_s1, kron_s2, kron_dtr_s1,
@@ -92,9 +92,9 @@ def test_hom_basis_intertwines_and_is_independent():
     sy = direct_sum(simple_module(QQ, 3), y_module(QQ))
     basis = hom_basis(lam, sy)
     assert all(h.is_intertwiner() for h in basis)
-    stacked = Matrix.from_columns(
+    stacked = Matrix.from_rows(
         QQ, [[v for row in h.mat.data for v in row] for h in basis],
-        rows=lam.dim * sy.dim)
+        cols=lam.dim * sy.dim).transpose()
     assert stacked.rank() == len(basis)
     assert len(basis) == hom_dim(lam, sy)
 
@@ -145,7 +145,7 @@ def test_image_matches_brute_force_span():
     lam = regular_module(F2, 2)
     both = direct_sum(lam, lam)
     sub = Submodule(both, Subspace.from_columns(
-        Matrix.from_columns(F2, [[1, 0, 1, 0], [0, 1, 0, 1]])))
+        Matrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 0, 1]]).transpose()))
     sub.require_invariant()
     m_rep, m_inc = sub_representation(both, sub.space)
     proj_to_first = m_inc.mat.submatrix(range(2), range(m_rep.dim))
@@ -199,10 +199,17 @@ def test_quotients():
     assert q.dim == 0
     # Y / S is simple over k[X]/(X^3)
     y = y_module(QQ)
-    soc = Submodule(y, Subspace.from_columns(Matrix.from_columns(QQ, [[1, 0]])))
+    soc = Submodule(y, Subspace.from_columns(Matrix.from_rows(QQ, [[1, 0]]).transpose()))
     q, proj = quotient_module(y, soc)
     assert q.dim == 1 and q.mats[1].is_zero()
     assert proj.is_intertwiner()
+
+
+def test_quotient_module_refuses_a_submodule_of_another_representation():
+    y = y_module(QQ)
+    soc = Submodule(regular_module(QQ, 2), Subspace.zero(QQ, 2))
+    with pytest.raises(NotSubmodule):
+        quotient_module(y, soc)
 
 
 def test_isomorphism_basics():

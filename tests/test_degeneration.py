@@ -124,7 +124,7 @@ def test_split_diagonal_simple():
     s = simple_module(QQ)
     both = direct_sum(s, s)
     diag = Submodule(both, Subspace.from_columns(
-        Matrix.from_columns(QQ, [[1, 1]])))
+        Matrix.from_rows(QQ, [[1, 1]]).transpose()))
     result = split_submodule(s, s, diag)
     assert result.xprime.dim == 1 and result.yprime.dim == 0
     assert result.cert.x.dim == 0
@@ -135,7 +135,7 @@ def test_split_lambda_s_inside_lambda2():
     lam = regular_module(F2, 2)
     both = direct_sum(lam, lam)
     sub = Submodule(both, Subspace.from_columns(
-        Matrix.from_columns(F2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])))
+        Matrix.from_rows(F2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]).transpose()))
     result = split_submodule(lam, lam, sub)
     assert result.xprime.dim == 2          # the full first factor
     assert result.yprime.dim == 1          # the socle of the second
@@ -229,13 +229,13 @@ def dense_lift(c1, c2):
                 row[s * dw + j] = v
             row[nvars] = g2[i][j]
             rows.append(row)
-    ech, _, pivots = dense_rref(Matrix(fld, len(rows), nvars + 1, rows))
+    ech, _, pivots = dense_rref(Matrix.from_rows(fld, rows, cols=nvars + 1))
     if nvars in pivots:
         return None
     flat = [fld.zero] * nvars
     for r, c in enumerate(pivots):
         flat[c] = ech.data[r][nvars]
-    return Matrix(fld, xm.dim, dw, [flat[r * dw:(r + 1) * dw] for r in range(xm.dim)])
+    return Matrix.from_rows(fld, [flat[r * dw:(r + 1) * dw] for r in range(xm.dim)], cols=dw)
 
 
 @pytest.mark.parametrize("fld", [QQ, F2, GF(3), GF(101)], ids=str)
@@ -298,7 +298,7 @@ def test_virtual_chain_trivial_and_small():
                for sub in (r.nfinal, r.yfinal))
     assert len(r.trace) == 1
     # the socle: stabilizes within two rounds with a verified certificate
-    soc = Submodule(lam, Subspace.from_columns(Matrix.from_columns(QQ, [[0, 1]])))
+    soc = Submodule(lam, Subspace.from_columns(Matrix.from_rows(QQ, [[0, 1]]).transpose()))
     r = virtual_chain(cert, soc)
     assert len(r.trace) <= 2
     assert verify_certificate(r.cert).ok

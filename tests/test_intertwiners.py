@@ -60,7 +60,7 @@ def generator_matrix(fld, d: int, kind: str, rng) -> Matrix:
         density = {"zero": 0, "sparse": 0.3, "dense": 1}[kind]
         rows = [[cell() if rng.random() < density else 0 for _ in range(d)]
                 for _ in range(d)]
-    return Matrix(fld, d, d, rows)
+    return Matrix.from_rows(fld, rows, cols=d)
 
 
 def tuple_rep(alg, fld, d: int, kinds, seed: int) -> Representation:
@@ -271,7 +271,8 @@ def vertex_shuffled(rep, rng, split: int):
     every arrow still maps one vertex into the other."""
     fld, d = rep.field, rep.dim
     order = rng.sample(range(d), d)
-    perm = Matrix(fld, d, d, [[int(order[c] == r) for c in range(d)] for r in range(d)])
+    perm = Matrix.from_rows(fld, [[int(order[c] == r) for c in range(d)] for r in range(d)],
+                            cols=d)
     return conjugate(rep, block_diag(random_invertible(fld, rng, split),
                                      random_invertible(fld, rng, d - split)) @ perm)
 

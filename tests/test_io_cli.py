@@ -116,6 +116,48 @@ def test_prime_modulus_of_two_to_the_64_is_parse_error():
     assert err.value.path == "$.field"
 
 
+def assert_parse_error_at(path, site, words):
+    """The document at ``path`` fails to parse at the JSON path ``site``,
+    with ``words`` in the message, through ``parse_document`` and through
+    ``moddeg validate`` (exit 2)."""
+    with pytest.raises(ParseError) as caught:
+        parse_document(Path(path).read_text(encoding="utf-8"))
+    assert caught.value.path == site and words in str(caught.value)
+    code, out, err = run_cli(["validate", path])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"] == str(caught.value)
+
+
+# JSON's true and false load as Python bools, which are ints, and
+# {"rationals": 1} compares equal to {"rationals": true}.
+@pytest.mark.parametrize("edit, site", [
+    (lambda doc: doc.update(dim=True, mats=[[["1"]], [["0"]]]), "$.dim"),
+    (lambda doc: doc.update(dim=False, mats=[[], []]), "$.dim"),
+    (lambda doc: doc.update(field={"rationals": 1}), "$.field"),
+    (lambda doc: doc.update(field={"rationals": 1.0}), "$.field"),
+    (lambda doc: doc.update(field={"p": True}), "$.field"),
+], ids=["dim-true", "dim-false", "rationals-1", "rationals-1.0", "p-true"])
+def test_json_boolean_is_not_an_integer_and_a_number_is_not_true(tmp_path, edit, site):
+    path = edited_document(tmp_path, "rep_dual_lambda_f2.json", edit)
+    words = {"$.dim": "dim must be a nonnegative integer",
+             "$.field": 'field must be {"rationals": true} or {"p": <prime>}'}
+    assert_parse_error_at(path, site, words[site])
+
+
+def test_gf_document_with_a_fraction_entry_is_parse_error_at_the_entry(tmp_path):
+    path = edited_document(tmp_path, "rep_dual_lambda_f2.json",
+                           lambda doc: doc["mats"][1][1].__setitem__(0, "1/2"))
+    assert_parse_error_at(path, "$.mats[1][1][0]", "not a residue: '1/2'")
+
+
+def test_algebra_the_presentation_refuses_is_parse_error_at_the_algebra(tmp_path):
+    path = edited_document(tmp_path, "rep_dual_lambda.json",
+                           lambda doc: doc["algebra"]["radical"].append("e"))
+    assert_parse_error_at(path, "$.algebra", "must be disjoint")
+
+
 def test_cli_validates_over_a_61_bit_prime(tmp_path):
     path = tmp_path / "big_prime.json"
     path.write_text(format_document(document_for(simple_module(GF(2 ** 61 - 1)))),

@@ -47,6 +47,19 @@ def test_h_map_off_the_x_slots_is_a_failed_item_not_a_crash():
         make_monic(bad)
 
 
+@pytest.mark.parametrize("trim", [
+    lambda lc: dataclasses.replace(lc, columns=lc.columns[:-1]),
+    lambda lc: dataclasses.replace(lc, h=lc.h[:-1]),
+], ids=["columns", "h"])
+def test_verify_ladder_stops_when_the_counts_miss_the_chain(trim):
+    report = verify_ladder(trim(ladder_nilp3_corner(QQ)))
+    assert [it.name for it in report.items] == [
+        "top border is a composition-series chain",
+        "bottom border is a composition-series chain",
+        "column count matches chain length"]
+    assert [it.name for it in report.failures()] == ["column count matches chain length"]
+
+
 def test_single_column_ladder_is_certificate_check():
     s = simple_module(QQ)
     lam = regular_module(QQ, 2)
@@ -378,7 +391,7 @@ def _mutants(lad):
     def bump(mat, i, j):
         rows = [list(r) for r in mat.data]
         rows[i][j] = fld.add(rows[i][j], fld.one)
-        return Matrix(fld, mat.rows, mat.cols, rows)
+        return Matrix.from_rows(fld, rows, cols=mat.cols)
 
     groups = {
         "h": [m.mat for m in lad.h],

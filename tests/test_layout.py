@@ -56,6 +56,24 @@ def test_no_module_imports_another_modules_private_name():
     assert found == []
 
 
+def test_no_module_reads_a_private_attribute_of_an_imported_name():
+    """Nor is a private attribute read through an imported name: a
+    ``Matrix`` is built by its constructor outside ``linalg`` too."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        found += [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in imported and node.attr.startswith("_")
+                  and not node.attr.startswith("__")]
+    assert found == []
+
+
 def _library_trees() -> tuple[dict, set, set]:
     """The syntax tree of every library module but ``fixtures``, which
     builds the shipped data files and the test inputs, with the sets of
@@ -92,17 +110,49 @@ TRACED_METHODS = {"Subspace.left_annihilator", "Subspace.contains_vector",
                   "Rationals.inv", "PrimeField.inv"}
 
 
+def _class_reads(trees: dict) -> set:
+    """The pairs (class name, attribute) read as ``Class.attr`` anywhere
+    in ``trees``, or as ``cls.attr`` or ``self.attr`` inside ``Class``."""
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                reads |= {(node.name, read.attr) for read in ast.walk(node)
+                          if isinstance(read, ast.Attribute)
+                          and isinstance(read.value, ast.Name)
+                          and read.value.id in ("cls", "self")}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and isinstance(node.ctx, ast.Load)):
+                reads.add((node.value.id, node.attr))
+    return reads
+
+
+def _is_classmethod(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "classmethod"
+               for d in node.decorator_list)
+
+
 def test_every_method_is_read():
     """Every non-dunder method of a library class is read as an attribute
     somewhere in the package, so no method is kept alive by the tests
     alone.  A method is reached only through an attribute, so a local
-    name or a stored attribute of the same name does not count."""
+    name or a stored attribute of the same name does not count.
+
+    An instance method counts as read when any attribute of its name is.
+    A classmethod counts only when it is read through its own class, as
+    ``Class.method`` or as ``cls.method`` or ``self.method`` inside the
+    class, in a library module other than ``fixtures``: another class's
+    method of the same name, or the test inputs ``fixtures`` builds, do
+    not keep it alive."""
     trees, _, attributes = _library_trees()
+    class_reads = _class_reads(trees)
     found = [f"{name}:{node.lineno} defines unused {cls.name}.{node.name}"
              for name, tree in trees.items() for cls in tree.body
              if isinstance(cls, ast.ClassDef)
              for node in cls.body if isinstance(node, FUNCTIONS)
-             and not node.name.startswith("__") and node.name not in attributes
+             and not node.name.startswith("__")
+             and ((cls.name, node.name) not in class_reads if _is_classmethod(node)
+                  else node.name not in attributes)
              and f"{cls.name}.{node.name}" not in TRACED_METHODS]
     assert found == []
 

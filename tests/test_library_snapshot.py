@@ -103,8 +103,8 @@ def entry(fld, rng: random.Random):
 
 
 def rand_matrix(fld, rng: random.Random, rows: int, cols: int) -> Matrix:
-    return Matrix(fld, rows, cols,
-                  [[entry(fld, rng) for _ in range(cols)] for _ in range(rows)])
+    return Matrix.from_rows(
+        fld, [[entry(fld, rng) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
 def rand_subspace(fld, rng: random.Random, n: int) -> Subspace:
@@ -234,9 +234,9 @@ def upper_conjugate(tri: TriangularRep, rng: random.Random) -> TriangularRep:
     """``tri`` conjugated by a random invertible upper-triangular matrix
     with a unit diagonal."""
     fld, d = tri.rep.field, tri.dim
-    u = Matrix(fld, d, d, [[fld.one if r == c else
-                            entry(fld, rng) if c > r else fld.zero
-                            for c in range(d)] for r in range(d)])
+    u = Matrix.from_rows(fld, [[fld.one if r == c else
+                                entry(fld, rng) if c > r else fld.zero
+                                for c in range(d)] for r in range(d)], cols=d)
     # The inverse of a unit upper-triangular u is sum_k (1 - u)^k.
     nil = Matrix.identity(fld, d) - u
     inv, power = Matrix.identity(fld, d), Matrix.identity(fld, d)

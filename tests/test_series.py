@@ -24,7 +24,7 @@ from moddeg.fixtures import (bidir_m, bidir_n, jordan_module, kron_i2,
                              y_module)
 from moddeg.linalg import (ENUMERATION_LIMIT, first_combination, kernel,
                            row_from_dense, rref)
-from moddeg.series import (TriangularRep, triangularize_flags,
+from moddeg.series import (ModuleChain, TriangularRep, triangularize_flags,
                            upper_triangular_hom_basis)
 from support import (random_invertible, random_kronecker, random_nilpotent_rep,
                      random_strict_triangular_nilpotent)
@@ -83,6 +83,16 @@ def test_composition_series_s_plus_y_levels():
     assert chain.validate()
 
 
+def test_chain_validate_refuses_wrong_stage_dimensions_and_stages():
+    lam = regular_module(QQ, 2)
+    chain = series_chain(composition_series(lam))
+    assert chain.validate()
+    assert not ModuleChain((lam,), ()).validate()       # stage 1 of dimension 2
+    s2 = direct_sum(simple_module(QQ), simple_module(QQ))
+    wrong = ModuleMap(chain.stages[0], s2, chain.inclusions[0].mat)
+    assert not ModuleChain(chain.stages, (wrong,)).validate()
+
+
 def test_series_to_triangular_already_adapted():
     tri = mu_corner_triangular(QQ)
     cs = triangular_to_series(tri)
@@ -95,8 +105,8 @@ def test_mu_series_triangularizes_to_corner():
     s = make_rep(KX3, QQ, [[[1]], [[0]]])
     y = y_module(QQ)
     sy = direct_sum(s, y)
-    flags = [Subspace.from_columns(Matrix.from_columns(QQ, [[0, 1, 0]])),
-             Subspace.from_columns(Matrix.from_columns(QQ, [[1, 0, 0], [0, 1, 0]])),
+    flags = [Subspace.from_columns(Matrix.from_rows(QQ, [[0, 1, 0]]).transpose()),
+             Subspace.from_columns(Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0]]).transpose()),
              Subspace.full(QQ, 3)]
     tri = triangularize_flags(sy, flags)
     assert tri.rep.mats[1] == Matrix.from_rows(
@@ -193,11 +203,11 @@ def test_simultaneous_triangularize_nontrivial_pair():
     s = make_rep(KX3, QQ, [[[1]], [[0]]])
     y = y_module(QQ)
     sy = direct_sum(s, y)
-    mu_flags = [Subspace.from_columns(Matrix.from_columns(QQ, [[0, 1, 0]])),
-                Subspace.from_columns(Matrix.from_columns(QQ, [[1, 0, 0], [0, 1, 0]])),
+    mu_flags = [Subspace.from_columns(Matrix.from_rows(QQ, [[0, 1, 0]]).transpose()),
+                Subspace.from_columns(Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0]]).transpose()),
                 Subspace.full(QQ, 3)]
-    nup_flags = [Subspace.from_columns(Matrix.from_columns(QQ, [[1, 0, 0]])),
-                 Subspace.from_columns(Matrix.from_columns(QQ, [[1, 0, 0], [0, 1, 0]])),
+    nup_flags = [Subspace.from_columns(Matrix.from_rows(QQ, [[1, 0, 0]]).transpose()),
+                 Subspace.from_columns(Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0]]).transpose()),
                  Subspace.full(QQ, 3)]
     from moddeg.series import CompositionSeries
     sm = CompositionSeries(sy, tuple(Submodule(sy, f) for f in mu_flags), (0, 0, 0))
@@ -302,7 +312,7 @@ def test_upper_triangular_invertibility_criterion():
         d = rng.randint(1, 4)
         rows = [[QQ.coerce(rng.randint(-3, 3)) if j >= i else QQ.zero
                  for j in range(d)] for i in range(d)]
-        m = Matrix(QQ, d, d, rows)
+        m = Matrix.from_rows(QQ, rows, cols=d)
         invertible = m.rank() == d
         diag_nonzero = all(m.entry(i, i) != 0 for i in range(d))
         assert invertible == diag_nonzero
@@ -395,7 +405,7 @@ def unflatten_every_map_series_isomorphic(a: TriangularRep, b: TriangularRep):
     fld = a.rep.field
     if d == 0:
         return ModuleMap(a.rep, b.rep, Matrix.zeros(fld, 0, 0))
-    functionals = Matrix._from_entries(fld, d, len(basis), [
+    functionals = Matrix(fld, d, len(basis), [
         row_from_dense([h.entry(j, j) for h in basis]) for j in range(d)])
     if not all(cols for cols, _ in functionals.entries):
         return None
@@ -433,7 +443,7 @@ def random_upper_conjugate(tri: TriangularRep, rng) -> TriangularRep:
     for i in range(d):
         while fld.is_zero(rows[i][i]):
             rows[i][i] = fld.sample(rng, 3)
-    return TriangularRep(conjugate(tri.rep, Matrix(fld, d, d, rows)))
+    return TriangularRep(conjugate(tri.rep, Matrix.from_rows(fld, rows, cols=d)))
 
 
 def random_triangular(fld, rng, kind: str, d: int) -> TriangularRep:
